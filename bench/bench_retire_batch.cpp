@@ -110,9 +110,8 @@ void run_series(const char* series, const char* mix, const BenchConfig& cfg, con
 /// retire. Each iteration protects one of a small shared pool of nodes, runs
 /// a full fanout cascade under that protection, then swaps the pooled node
 /// for a fresh one — retiring an object that other threads often have
-/// published, which drives the handover/park path and (in the sharded
-/// engine) displacement traffic between shards. Ops count nodes retired,
-/// comparable with the other series.
+/// published, which drives the handover/park path and its displacements.
+/// Ops count nodes retired, comparable with the other series.
 void run_contended(const char* mix, const BenchConfig& cfg) {
     constexpr int kSharedSlots = 8;
     struct SharedPool {

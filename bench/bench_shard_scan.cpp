@@ -1,5 +1,5 @@
-// Sharded-retirement / cooperative-scan bench (the walk-park engine's
-// headline numbers; BENCH_shard_scan.json is the committed artifact).
+// Walk-park generation-scan bench (the batched retire path's headline
+// numbers; BENCH_shard_scan.json is the committed artifact).
 //
 // The shape that isolates the batched retire path is a WIDE cascade: one
 // root holding kWide orc_atomic children whose targets are bare orc_base
@@ -16,21 +16,17 @@
 //                the no-regression gate).
 //   contended/N  every thread cascades simultaneously while protecting a
 //                shared node another thread is likely to retire — the
-//                displacement-heavy case the per-shard MPSC inboxes absorb.
+//                handover- and displacement-heavy case.
 //
 // Mixes mirror bench_retire_batch: `bare` first, then `hoard48` (the main
 // thread parks 48 live orc_ptrs, so every walk must prove those slots do
-// not cover the generation). A final `bg` section re-runs the contended
-// series with the background reclaimer forced ON so the wake/park/drain
-// counters land in the telemetry export.
+// not cover the generation).
 //
 // Ops are counted in nodes retired. JSON: --json <path> or ORC_BENCH_JSON;
-// the artifact's "telemetry" key carries the shard/steal/bg counters.
+// the artifact's "telemetry" key carries the domain's retire counters.
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "common/bench_harness.hpp"
@@ -106,7 +102,7 @@ SharedPool g_pool;
 
 /// Contended multi-retirer body: cascade under a protection on a pooled
 /// node, then swap the pooled node out (retiring an object other threads
-/// often have published — handover + shard displacement traffic).
+/// often have published — handover + displacement traffic).
 std::uint64_t contended_iter(int tid, std::uint64_t i) {
     const int s = static_cast<int>((static_cast<std::uint64_t>(tid) + i) % kSharedSlots);
     orc_ptr<ChainNode*> held = g_pool.slot[s].load();
@@ -130,46 +126,6 @@ void run_contended(const char* series, const char* mix, const BenchConfig& cfg) 
     for (int i = 0; i < kSharedSlots; ++i) g_pool.slot[i].store(nullptr);
 }
 
-/// Deterministic displacement probe (the recipe tests/test_shard_scan.cpp
-/// proves out): a reader republishes on a held hp index while the main
-/// thread retires what it protects, forcing a park, then a displacement into
-/// the reader's MPSC inbox — which, with the reclaimer ON, forces a wake.
-/// Guarantees the artifact's shard_pushes / shard_drained / bg_wakes /
-/// bg_parks counters are non-zero even under schedules where the contended
-/// series happens never to displace.
-void bg_probe() {
-    auto& dom = OrcDomain::global();
-    orc_ptr<ChainNode*> px = make_orc<ChainNode>();
-    orc_ptr<ChainNode*> py = make_orc<ChainNode>();
-    orc_base* xr = px.get();
-    orc_base* yr = py.get();
-    std::atomic<int> phase{0};
-    auto await = [&](int v) {
-        while (phase.load(std::memory_order_acquire) < v) std::this_thread::yield();
-    };
-    std::thread reader([&] {
-        const int idx = dom.get_new_idx();
-        dom.protect_ptr(xr, idx);
-        phase.fetch_add(1, std::memory_order_acq_rel);  // 1
-        await(2);
-        dom.protect_ptr(yr, idx);  // republish without draining: X's park stays
-        phase.fetch_add(1, std::memory_order_acq_rel);  // 3
-        await(4);
-        dom.release_idx(idx, nullptr);
-    });
-    await(1);
-    px = nullptr;  // parks X in the reader's handover slot
-    phase.fetch_add(1, std::memory_order_acq_rel);  // 2
-    await(3);
-    py = nullptr;  // parks Y, displacing X into the reader's inbox -> wake
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (dom.shard_backlog() > 0 && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    phase.fetch_add(1, std::memory_order_acq_rel);  // 4
-    reader.join();
-}
-
 void run_all_shapes(const char* mix, const BenchConfig& cfg) {
     char wide_name[32];
     std::snprintf(wide_name, sizeof(wide_name), "wide/%d", kWide);
@@ -190,14 +146,13 @@ void run_all_shapes(const char* mix, const BenchConfig& cfg) {
 
 /// Quiescent instrumented pass: the wide cascade must settle in at most 2
 /// full-HP walks per cascade (one per generation of kSnapshotMin+ members —
-/// the regression gate for the batched path), and the shard counters must
-/// be live. Skipped in -DORCGC_TELEMETRY=OFF builds where counters read 0.
+/// the regression gate for the batched path). Skipped in
+/// -DORCGC_TELEMETRY=OFF builds where counters read 0.
 bool report_stats() {
     auto& engine = OrcDomain::global();
     constexpr int kCascades = 200;
-    // Delta-based (no reset): the process-cumulative counters — including
-    // the contended runs' shard pushes and the bg section's wakes — must
-    // survive into the artifact's telemetry export at flush.
+    // Delta-based (no reset): the process-cumulative counters of the timed
+    // series must survive into the artifact's telemetry export at flush.
     const OrcMetrics::Snapshot s0 = engine.metrics().snapshot();
     std::uint64_t nodes = 0;
     for (int i = 0; i < kCascades; ++i) nodes += wide_cascade();
@@ -206,18 +161,10 @@ bool report_stats() {
         static_cast<double>(s.snapshots - s0.snapshots) / kCascades;
     const double slots_per_node =
         static_cast<double>(s.slots_scanned - s0.slots_scanned) / static_cast<double>(nodes);
-    std::printf(
-        "shard_stats  wide/%-3d     snapshots/cascade=%.2f slots/node=%.2f shared_scans=%llu "
-        "shard_pushes=%llu shard_drained=%llu chunks_stolen=%llu bg_wakes=%llu\n",
-        kWide, snapshots_per_cascade, slots_per_node,
-        static_cast<unsigned long long>(s.scans_shared),
-        static_cast<unsigned long long>(s.shard_pushes),
-        static_cast<unsigned long long>(s.shard_drained),
-        static_cast<unsigned long long>(s.chunks_stolen),
-        static_cast<unsigned long long>(s.bg_wakes));
+    std::printf("shard_stats  wide/%-3d     snapshots/cascade=%.2f slots/node=%.2f\n", kWide,
+                snapshots_per_cascade, slots_per_node);
     RunStats row;
     row.mean_ops_per_sec = snapshots_per_cascade;
-    row.stddev = static_cast<double>(s.scans_shared);
     print_row("shard_stats", "wide", "quiescent", 1, row, slots_per_node);
     if (snapshots_per_cascade > 2.0) {
         std::fprintf(stderr,
@@ -242,17 +189,6 @@ int main(int argc, char** argv) {
         hoard.reserve(kHoardPtrs);
         for (int i = 0; i < kHoardPtrs; ++i) hoard.push_back(make_orc<ChainNode>());
         run_all_shapes("hoard48", cfg);
-
-        // Background-reclaimer section: force the worker on so its wake /
-        // park / drain counters land in the telemetry export, then restore
-        // the environment-selected mode.
-        const BgReclaimer::Mode env_mode = OrcDomain::global().bg_reclaim_mode();
-        OrcDomain::global().set_bg_reclaim(BgReclaimer::Mode::kOn);
-        char cont_name[32];
-        std::snprintf(cont_name, sizeof(cont_name), "contended/%d", kWide);
-        run_contended(cont_name, "bg", cfg);
-        bg_probe();
-        OrcDomain::global().set_bg_reclaim(env_mode);
     }
 
     bool ok = true;

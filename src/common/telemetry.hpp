@@ -323,8 +323,6 @@ enum class TraceType : std::uint8_t {
     kHandover = 4,  ///< object parked on another thread's handover slot
     kFree = 5,      ///< object deleted (arg = 1 if proven by a batch snapshot)
     kDrain = 6,     ///< parked object taken out of a handover slot
-    kShardPush = 7, ///< displaced object pushed onto a shard's MPSC inbox (arg = shard tid)
-    kShardDrain = 8,///< one shard inbox exchanged empty (arg = objects taken)
     kSpanBegin = 9, ///< a TraceSpan opened (arg = SpanKind)
     kSpanEnd = 10,  ///< a TraceSpan closed (arg = SpanKind, obj = items payload)
 };
@@ -337,8 +335,6 @@ inline const char* trace_type_name(TraceType t) noexcept {
         case TraceType::kHandover: return "handover";
         case TraceType::kFree: return "free";
         case TraceType::kDrain: return "drain";
-        case TraceType::kShardPush: return "shard_push";
-        case TraceType::kShardDrain: return "shard_drain";
         case TraceType::kSpanBegin: return "span_begin";
         case TraceType::kSpanEnd: return "span_end";
     }
@@ -346,21 +342,17 @@ inline const char* trace_type_name(TraceType t) noexcept {
 }
 
 /// What a kSpanBegin/kSpanEnd pair timed (the records' arg field). Kept in
-/// sync with tools/orc_trace.py, which names the Chrome-trace slices.
+/// sync with tools/orc_trace.py, which names the Chrome-trace slices. The
+/// values are a wire format (readers decode spans by number), so retired
+/// kinds leave gaps rather than renumbering.
 enum class SpanKind : std::uint8_t {
     kScanGeneration = 1, ///< one direction-swapped walk-park generation
-    kStealChunk = 2,     ///< one claim-ticket chunk settled for a shared scan
-    kHandoverDrain = 3,  ///< one handover-slot / shard-inbox drain pass
-    kBgCycle = 4,        ///< background reclaimer wake → park cycle
     kHeavyFence = 5,     ///< one scan-entry asym::heavy() (membarrier) call
 };
 
 inline const char* span_kind_name(SpanKind k) noexcept {
     switch (k) {
         case SpanKind::kScanGeneration: return "scan_generation";
-        case SpanKind::kStealChunk: return "steal_chunk";
-        case SpanKind::kHandoverDrain: return "handover_drain";
-        case SpanKind::kBgCycle: return "bg_cycle";
         case SpanKind::kHeavyFence: return "heavy_fence";
     }
     return "?";

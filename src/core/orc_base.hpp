@@ -68,16 +68,6 @@ struct orc_base {
     /// domain.
     OrcDomain* _orc_dom = nullptr;
 
-    /// Engine-owned intrusive link for the per-shard MPSC handover inbox
-    /// (orc_domain.hpp). Valid ONLY while the object sits in an inbox — i.e.
-    /// after its retire token was taken and a scan displaced it out of a
-    /// handover slot — a window in which the object has no other owner, so
-    /// the link never races with user code. Plain (non-atomic): it is
-    /// written by the pushing thread before the release that enqueues the
-    /// node and read by the draining thread after the acquire that dequeues
-    /// it.
-    orc_base* _orc_link = nullptr;
-
 #ifndef ORCGC_TELEMETRY_DISABLED
     /// Retire timestamp (telemetry::coarse_now() ticks), written — for the
     /// 1-in-64 of retires the age sampler picks (telemetry::kAgeSampleMask)
@@ -106,5 +96,15 @@ struct orc_base {
     orc_base& operator=(const orc_base&) = delete;
     virtual ~orc_base() = default;
 };
+
+// Header budget. Table 1 charges OrcGC one extra word per object (_orc); on
+// top of it this implementation pays the vptr and the _orc_dom tag, plus the
+// sampled retire stamp _orc_rts while telemetry is compiled in. A new field
+// must fail here, not grow every node silently.
+#ifndef ORCGC_TELEMETRY_DISABLED
+static_assert(sizeof(orc_base) <= 32, "orc_base grew past vptr + _orc + _orc_dom + _orc_rts");
+#else
+static_assert(sizeof(orc_base) <= 24, "orc_base grew past vptr + _orc + _orc_dom");
+#endif
 
 }  // namespace orcgc

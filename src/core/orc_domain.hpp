@@ -34,12 +34,13 @@
 // Retire scans come in two flavours:
 //   * per-object (retire_one / try_handover): the paper's Algorithm 6 scan,
 //     used for small cascade generations and as the slow path;
-//   * batched (retire_generation_batched): one sorted snapshot of every
-//     published hp per cascade *generation*, then O(log S) membership tests
-//     per retired object. The snapshot must be per-generation — objects
-//     pushed while a generation is deleted acquire their retire tokens
-//     *after* the previous snapshot, and Lemma 1's scan is only valid when
-//     it starts after the token is taken.
+//   * batched (retire_generation_batched, the walk-park generation scan):
+//     the cascade *generation* is sorted, then one asym::heavy() and one
+//     walk over every published hp probes each hp into it and parks covered
+//     members in place. The walk must be per-generation — objects pushed
+//     while a generation is deleted acquire their retire tokens *after* the
+//     previous walk, and Lemma 1's scan is only valid when it starts after
+//     the token is taken.
 //
 // Destruction protocol (non-global domains; DESIGN.md "Layering and
 // domains"): the destructor unpublishes every hp slot, drains every
@@ -67,15 +68,7 @@
 #include "common/thread_registry.hpp"
 #include "common/tsan_annotations.hpp"
 #include "core/orc_base.hpp"
-#include "core/orc_bg_reclaimer.hpp"
 #include "core/orc_metrics.hpp"
-
-// Retire-path statistics are ALWAYS compiled in now: they live in the
-// per-domain OrcMetrics (orc_metrics.hpp), whose hooks are relaxed RMWs on
-// per-thread padded lines. This macro is a thin compatibility alias for one
-// release — the old consumers guarded on it because stats() only existed
-// under -DORCGC_STATS; new code should just call domain->metrics().
-#define ORCGC_HAS_RETIRE_STATS 1
 
 namespace orcgc {
 
@@ -135,19 +128,6 @@ class OrcDomain {
     /// costs about as much as one try_handover pass, so it has to amortize
     /// over several objects to win).
     static constexpr std::size_t kSnapshotMin = 4;
-
-    /// Soft cap on a shard inbox (objects a scan displaced out of that
-    /// thread's handover slots, see shard_push). Keeps the paper's O(H·t)
-    /// unreclaimed bound intact: a stalled thread can strand at most
-    /// hp_peak parked objects PLUS this many inbox objects, so the cap must
-    /// stay well under kMaxHPs. Overflow falls back to the seed behavior —
-    /// the displaced object rejoins the displacing thread's own cascade.
-    static constexpr int kInboxSoftCap = 16;
-
-    /// Items a cooperative-scan consumer claims per ticket fetch-add. Small
-    /// enough that a stalled stealer strands at most one chunk of settled
-    /// work; large enough that the claim RMW amortizes.
-    static constexpr std::uint32_t kShareChunk = 16;
 
     /// Stalled-reader watchdog (watchdog_sample): a slot whose heartbeat is
     /// frozen must pin at least this many parked objects before it can be
@@ -420,9 +400,8 @@ class OrcDomain {
     /// least one protection, (b) its protection set shows no progress —
     /// neither the slot-transition heartbeat (bumped by get_new_idx /
     /// release_idx) nor the fingerprint of the published hp values has
-    /// moved — and (c) the garbage attributed to it — occupied handover
-    /// slots plus shard-inbox occupancy — is at least kStallPinnedMin and
-    /// non-decreasing.
+    /// moved — and (c) the garbage attributed to it — its occupied handover
+    /// slots — is at least kStallPinnedMin and non-decreasing.
     ///
     /// The two-signal progress test is what keeps the reader fast paths
     /// untouched: a traversal that advances changes its published hp
@@ -463,14 +442,12 @@ class OrcDomain {
             }
             // Garbage attribution: everything parked against this slot's
             // protections — occupied handover slots (hp_peak bound, same as
-            // handover_count) plus whatever scans displaced into its inbox.
+            // handover_count).
             const int peak = t.hp_peak.load(std::memory_order_acquire);
             std::uint64_t pinned = 0;
             for (int idx = 0; idx < peak; ++idx) {
                 if (t.handovers[idx].load(std::memory_order_acquire) != nullptr) ++pinned;
             }
-            const int parked = t.inbox_size.load(std::memory_order_acquire);
-            if (parked > 0) pinned += static_cast<std::uint64_t>(parked);
             bool suspect = false;
             if (published && b == t.wd_beat && fp == t.wd_fp &&
                 pinned >= kStallPinnedMin && pinned >= t.wd_pinned) {
@@ -522,37 +499,6 @@ class OrcDomain {
 #endif
     }
 
-    // ---- background reclaimer (ORC_BG_RECLAIM) -----------------------------
-
-    /// Objects currently parked across this domain's shard inboxes (the
-    /// backlog the background reclaimer wakes on). Approximate while threads
-    /// mutate; exact at quiescence.
-    std::int64_t shard_backlog() const noexcept {
-        const std::int64_t b = backlog_.load(std::memory_order_acquire);
-        return b > 0 ? b : 0;
-    }
-
-    /// Per-domain override of the process-wide ORC_BG_RECLAIM mode (tests /
-    /// embedders). Takes effect at the next cascade end; switching to kOff
-    /// leaves an already-started worker parked (it joins at destruction).
-    void set_bg_reclaim(BgReclaimer::Mode mode) noexcept {
-        bg_mode_.store(mode, std::memory_order_relaxed);
-    }
-
-    BgReclaimer::Mode bg_reclaim_mode() const noexcept {
-        return bg_mode_.load(std::memory_order_relaxed);
-    }
-
-    /// True once this domain's background worker has been spawned (it is
-    /// spawned lazily, on the first wake-worthy backlog).
-    bool bg_running() const noexcept { return bg_.running(); }
-
-    /// Cascade-size EWMA the adaptive wake threshold is derived from
-    /// (integer EWMA with alpha=1/8, stored x8; see note_cascade).
-    std::uint64_t cascade_ewma() const noexcept {
-        return cascade_ewma_.load(std::memory_order_relaxed) / 8;
-    }
-
     /// Retire-path statistics, kept as the stable names the benches and
     /// tests grew up with; since the telemetry migration this is a view over
     /// OrcMetrics::snapshot(). Counters are per-domain: a noisy neighbor's
@@ -592,10 +538,9 @@ class OrcDomain {
     /// True for the process-wide default domain (OrcDomain::global()).
     bool is_global() const noexcept { return is_global_; }
 
-    /// Pointers currently parked in handover slots or shard inboxes across
-    /// all threads. Bounded by hp_peak, not hp_wm: a scanner that read a
-    /// stale hp can park into a slot after its index was recycled and the
-    /// watermark lowered.
+    /// Pointers currently parked in handover slots across all threads.
+    /// Bounded by hp_peak, not hp_wm: a scanner that read a stale hp can park
+    /// into a slot after its index was recycled and the watermark lowered.
     std::size_t handover_count() const noexcept {
         std::size_t total = 0;
         const int wm = thread_id_watermark();
@@ -604,8 +549,6 @@ class OrcDomain {
             for (int idx = 0; idx < peak; ++idx) {
                 if (tl_[it].handovers[idx].load(std::memory_order_acquire) != nullptr) ++total;
             }
-            const int parked = tl_[it].inbox_size.load(std::memory_order_acquire);
-            if (parked > 0) total += static_cast<std::size_t>(parked);
         }
         return total;
     }
@@ -705,14 +648,6 @@ class OrcDomain {
         //           indices above hp_wm).
         alignas(kCacheLineSize) std::atomic<int> hp_wm{1};
         std::atomic<int> hp_peak{1};
-        // Shard header: the MPSC handover inbox. Scans that displace an
-        // object out of one of THIS thread's handover slots push it here (a
-        // Treiber stack threaded through orc_base::_orc_link) instead of
-        // re-scanning it inline; the owner drains opportunistically on its
-        // next unpublish, at thread exit, or the background reclaimer does.
-        // Own cache line: pushed by other threads, polled by the owner.
-        alignas(kCacheLineSize) std::atomic<orc_base*> inbox{nullptr};
-        std::atomic<int> inbox_size{0};  // soft-capped at kInboxSoftCap
         alignas(kCacheLineSize) std::uint32_t used_haz[kMaxHPs] = {};
         // O(1) index recycling (thread-local; seeded lazily on first use).
         int free_stack[kMaxHPs];
@@ -758,51 +693,18 @@ class OrcDomain {
         // Grown-once scratch: capacity is retained across calls, so
         // steady-state retires never touch the heap.
         std::vector<orc_base*> recursive_list;   // pending cascade generations
-        std::vector<orc_base*> gen_items;        // private-path generation copy
+        std::vector<orc_base*> gen_items;        // generation copy
         std::vector<std::uint64_t> gen_lorc;     // pre-read _orc per gen object
         std::vector<std::uint8_t> gen_state;     // kItemPending/Parked/Fallback
         std::vector<std::uint32_t> gen_order;    // item indices sorted by ptr
     };
 
-    /// Post-walk disposition of a generation item (gen_state / SharedScan
-    /// state): kItemParked was handed over in place during the walk and is no
-    /// longer ours; kItemPending passes the Lemma 1 free check if its _orc is
-    /// still unchanged; kItemFallback (pre-read not zero+retired, i.e. a
+    /// Post-walk disposition of a generation item (gen_state): kItemParked
+    /// was handed over in place during the walk and is no longer ours;
+    /// kItemPending passes the Lemma 1 free check if its _orc is still
+    /// unchanged; kItemFallback (pre-read not zero+retired, i.e. a
     /// resurrection in flight) re-runs the full per-object protocol.
     enum : std::uint8_t { kItemPending = 0, kItemParked = 1, kItemFallback = 2 };
-
-    /// The cooperative-scan descriptor (one per domain). A retiring thread
-    /// whose generation takes the batched path claims it, runs the ONE
-    /// asym::heavy() + hp walk for the whole generation, then opens the
-    /// descriptor so that any thread entering its own batched retire can
-    /// steal disjoint chunks of the post-walk settle work (the sorted-
-    /// membership frees) via a fetch-add claim ticket. See
-    /// retire_generation_batched for the full protocol and its ordering
-    /// argument.
-    struct SharedScan {
-        /// Install exclusivity: exchanged true by the owner, released by the
-        /// LAST settler after the epoch is bumped closed.
-        std::atomic<bool> claimed{false};
-        /// Claim ticket: high 32 bits are the scan epoch (odd = open, even =
-        /// closed — installs bump it odd, the last settler bumps it even),
-        /// low 32 bits the next unclaimed item index. One word so a claim
-        /// atomically learns WHICH scan it claimed from: a fetch-add that
-        /// lands on a closed or foreign epoch is harmless junk in the low
-        /// bits of an epoch nobody reads ranges from any more.
-        alignas(kCacheLineSize) std::atomic<std::uint64_t> ticket{0};
-        /// Items settled so far this epoch; the settler that completes the
-        /// count closes the scan. acq_rel RMWs chain every consumer's array
-        /// reads happens-before the close, hence before the next install's
-        /// array overwrites.
-        alignas(kCacheLineSize) std::atomic<std::uint32_t> settled{0};
-        std::atomic<std::uint32_t> n_items{0};
-        std::atomic<int> owner_tid{-1};
-        // Owner-filled working arrays; plain reads by consumers are ordered
-        // by the ticket release/acquire edge (see retire_generation_batched).
-        std::vector<orc_base*> items;
-        std::vector<std::uint64_t> lorc;
-        std::vector<std::uint8_t> state;
-    };
 
     explicit OrcDomain(bool is_global);  // defined below (needs DomainRegistry)
 
@@ -865,13 +767,6 @@ class OrcDomain {
                 retire(h);
             }
         }
-        // Hand back the shard inbox BEFORE the slot is recycled: a scan that
-        // displaced an object into this shard mid-cascade must not strand it
-        // on a tid the next thread inherits with no idea it owes a drain.
-        // The exiting thread still owns `tid` here (exit hooks run before
-        // the registry releases the slot), so the retire cascade this drain
-        // runs is on fully valid state.
-        drain_inbox(tid);
         // Fresh start for the next thread that reuses this tid. hp_peak stays
         // monotonic on purpose: a scanner that read a stale hp just before
         // this drain can still park into one of these handover slots, and the
@@ -923,13 +818,6 @@ class OrcDomain {
                 metrics_.on_drain(h);
                 retire(h);
             }
-        }
-        // Opportunistic shard-inbox drain: one relaxed load of an owner-local
-        // line that stays null (hence cache-shared) unless a scan displaced
-        // objects into this shard. Draining here keeps the backlog near zero
-        // without the background worker in the default configuration.
-        if (t.inbox.load(std::memory_order_relaxed) != nullptr) {
-            drain_inbox(static_cast<int>(&t - tl_));
         }
     }
 
@@ -993,59 +881,31 @@ class OrcDomain {
     /// token and re-enters the protocol when the slot drains, even if the
     /// protecting thread released the hp between our read and the exchange
     /// (the hp_peak bound covers such late parks, exactly as before).
-    ///
-    /// Cooperative settling: the walk owner publishes the settled work
-    /// through the domain's SharedScan descriptor, and every thread entering
-    /// its own batched retire first steals chunks from any open scan
-    /// (help_shared_scan). One heavy() — the owner's — covers every item
-    /// however many threads settle them; stealers never fence.
     void retire_generation_batched(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
                                    std::size_t end) {
-        help_shared_scan(mh);
-        if (!scan_.claimed.load(std::memory_order_relaxed) &&
-            !scan_.claimed.exchange(true, std::memory_order_acquire)) {
-            // Owner path. The acquire exchange pairs with the closing
-            // settler's release of `claimed`, ordering our array overwrites
-            // after every reader of the PREVIOUS epoch (all of whom settled
-            // before the close, by the `settled` count).
-            scan_generation(mh, t, scan_.items, scan_.lorc, scan_.state, begin, end);
-            const std::uint32_t n = static_cast<std::uint32_t>(scan_.items.size());
-            scan_.owner_tid.store(thread_id(), std::memory_order_relaxed);
-            scan_.settled.store(0, std::memory_order_relaxed);
-            scan_.n_items.store(n, std::memory_order_relaxed);
-            const std::uint64_t epoch = (scan_.ticket.load(std::memory_order_relaxed) >> 32) + 1;
-            // The release store (epoch odd, index zero) opens the scan: any
-            // consumer whose ticket RMW reads a value in this store's release
-            // sequence sees the filled arrays and the right n_items.
-            scan_.ticket.store(epoch << 32, std::memory_order_release);
-            mh.on_shared_scan();
-            consume_shared_scan(mh);
-        } else {
-            // Descriptor busy (another cascade's scan is open, or its last
-            // settler is mid-close): private path — same walk, thread-local
-            // buffers, settle everything ourselves. Never blocks.
-            scan_generation(mh, t, t.gen_items, t.gen_lorc, t.gen_state, begin, end);
-            for (std::size_t i = 0; i < t.gen_items.size(); ++i) {
-                settle_item(mh, t.gen_items[i], t.gen_lorc[i], t.gen_state[i]);
-            }
+        scan_generation(mh, t, begin, end);
+        for (std::size_t i = 0; i < t.gen_items.size(); ++i) {
+            settle_item(mh, t.gen_items[i], t.gen_lorc[i], t.gen_state[i]);
         }
     }
 
     /// Phase A of the batched retire: copy the generation out of
-    /// recursive_list (consumers must never touch recursive_list — it grows,
-    /// and reallocates, as settling destroys push the next generation), pre-
-    /// read each _orc, sort the items by address, then ONE asym::heavy() and
-    /// one walk over every published hp in the domain. Each hp that probes
-    /// into the generation parks that item in place (handover exchange into
-    /// the covering slot); whatever the exchange displaced goes to the
-    /// protecting shard's inbox (or back into OUR cascade when the inbox is
-    /// full). A duplicate hit on an already-parked item is skipped — one
-    /// park per item, matching the seed's retire_one semantics.
-    void scan_generation(OrcMetrics::Hot& mh, DomainState& t, std::vector<orc_base*>& items,
-                         std::vector<std::uint64_t>& lorc, std::vector<std::uint8_t>& state,
-                         std::size_t begin, std::size_t end) {
+    /// recursive_list into t.gen_* (settling must never index recursive_list
+    /// — it grows, and reallocates, as settling destroys push the next
+    /// generation), pre-read each _orc, sort the items by address, then ONE
+    /// asym::heavy() and one walk over every published hp in the domain.
+    /// Each hp that probes into the generation parks that item in place
+    /// (handover exchange into the covering slot); whatever the exchange
+    /// displaced rejoins OUR cascade as a next-generation member, as in the
+    /// paper's retire loop. A duplicate hit on an already-parked item is
+    /// skipped — one park per item, matching retire_one's semantics.
+    void scan_generation(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
+                         std::size_t end) {
         telemetry::TraceSpan span(mh.span_ring(), telemetry::SpanKind::kScanGeneration);
         span.note_items(static_cast<std::uint64_t>(end - begin));
+        auto& items = t.gen_items;
+        auto& lorc = t.gen_lorc;
+        auto& state = t.gen_state;
         items.clear();
         lorc.clear();
         state.clear();
@@ -1092,17 +952,11 @@ class OrcDomain {
                 if (state[i] != kItemPending) continue;  // parked already / fallback
                 state[i] = kItemParked;
                 mh.on_handover(p);
-                orc_base* displaced =
-                    other.handovers[idx].exchange(p, std::memory_order_seq_cst);
-                if (displaced != nullptr) {
-                    if (shard_push(it, displaced)) {
-                        mh.on_shard_push(displaced, it);
-                    } else {
-                        // Inbox full: the displaced object (token held)
-                        // rejoins our cascade as a next-generation member —
-                        // the seed's behavior, cost-wise.
-                        t.recursive_list.push_back(displaced);
-                    }
+                // The displaced occupant (token held) rejoins our cascade
+                // as a next-generation member.
+                if (orc_base* displaced =
+                        other.handovers[idx].exchange(p, std::memory_order_seq_cst)) {
+                    t.recursive_list.push_back(displaced);
                 }
             }
             slots += static_cast<std::size_t>(wm);
@@ -1111,9 +965,8 @@ class OrcDomain {
     }
 
     /// Settles one walked generation item (parked / free / fallback — see
-    /// the kItem* enum). Runs on the walk owner or on a stealer; `mh` is the
-    /// settling thread's own hot handle, and cascades the destroy triggers
-    /// land in the settling thread's recursive_list.
+    /// the kItem* enum). Cascades the destroy triggers land in the caller's
+    /// recursive_list.
     void settle_item(OrcMetrics::Hot& mh, orc_base* ptr, std::uint64_t lorc, std::uint8_t st) {
         if (st == kItemParked) return;
         if (st == kItemPending && ptr->_orc.load(std::memory_order_seq_cst) == lorc) {
@@ -1124,133 +977,8 @@ class OrcDomain {
         retire_one(mh, ptr);
     }
 
-    /// Steals settle work from an open shared scan, if any. One acquire load
-    /// on the common (no scan open / exhausted) path.
-    void help_shared_scan(OrcMetrics::Hot& mh) {
-        const std::uint64_t tk = scan_.ticket.load(std::memory_order_acquire);
-        if (((tk >> 32) & 1) == 0) return;  // no scan open
-        if (static_cast<std::uint32_t>(tk) >= scan_.n_items.load(std::memory_order_relaxed)) {
-            return;  // open but fully claimed — nothing to steal
-        }
-        consume_shared_scan(mh);
-    }
-
-    /// Chunk-claim loop of the cooperative scan. Each iteration validates a
-    /// loaded ticket (epoch odd, index below n_items) and then claims its
-    /// chunk with a CAS — never a blind fetch-add, so a closed or exhausted
-    /// epoch accumulates NO junk claims and the low 32 bits can never carry
-    /// into the epoch field, however many consumers race the close. The
-    /// epoch in the ticket's high bits says which scan the claimed range
-    /// belongs to. Ordering: the acq_rel CAS reads a value in the release
-    /// sequence headed by the install's ticket store, so a successful claim
-    /// synchronizes-with the install — and since any close or re-install
-    /// changes the ticket's epoch bits, CAS success also proves no newer
-    /// install slipped between our validation loads and the claim: the
-    /// arrays and n_items we read are exactly this epoch's. No NEWER
-    /// install can overwrite them while we settle: an install requires the
-    /// previous epoch closed, the close requires settled == n_items, and
-    /// our claimed range is not yet settled.
-    void consume_shared_scan(OrcMetrics::Hot& mh) {
-        std::uint64_t tk = scan_.ticket.load(std::memory_order_acquire);
-        while (true) {
-            if (((tk >> 32) & 1) == 0) return;  // closed epoch
-            const std::uint32_t i0 = static_cast<std::uint32_t>(tk);
-            const std::uint32_t n = scan_.n_items.load(std::memory_order_relaxed);
-            if (i0 >= n) return;  // claims exhausted (a slower settler closes)
-            if (!scan_.ticket.compare_exchange_weak(tk, tk + kShareChunk,
-                                                    std::memory_order_acq_rel,
-                                                    std::memory_order_acquire)) {
-                continue;  // tk reloaded by the failed CAS: revalidate
-            }
-            const std::uint32_t i1 = i0 + kShareChunk < n ? i0 + kShareChunk : n;
-            {
-                telemetry::TraceSpan span(mh.span_ring(), telemetry::SpanKind::kStealChunk);
-                span.note_items(i1 - i0);
-                for (std::uint32_t i = i0; i < i1; ++i) {
-                    settle_item(mh, scan_.items[i], scan_.lorc[i], scan_.state[i]);
-                }
-            }
-            if (thread_id() != scan_.owner_tid.load(std::memory_order_relaxed)) {
-                mh.on_steal(i1 - i0);
-            }
-            const std::uint32_t done =
-                scan_.settled.fetch_add(i1 - i0, std::memory_order_acq_rel) + (i1 - i0);
-            if (done == n) {
-                // Last settler: close the epoch (bump it even), then free the
-                // descriptor. The release on `claimed` carries every
-                // settler's array reads (chained through the settled RMWs)
-                // to the next owner's acquire.
-                scan_.ticket.fetch_add(1ULL << 32, std::memory_order_release);
-                scan_.claimed.store(false, std::memory_order_release);
-                return;
-            }
-            tk = scan_.ticket.load(std::memory_order_acquire);
-        }
-    }
-
-    /// Pushes a displaced handover occupant onto shard `tid`'s MPSC inbox
-    /// (Treiber stack through _orc_link). Fails — caller keeps the object —
-    /// when the inbox is at its soft cap, so a stalled shard bounds the
-    /// unreclaimed memory it can strand (see kInboxSoftCap). The size
-    /// counter may transiently overshoot under concurrent pushes; the cap is
-    /// soft by design.
-    bool shard_push(int tid, orc_base* ptr) {
-        auto& t = tl_[tid];
-        if (t.inbox_size.load(std::memory_order_relaxed) >= kInboxSoftCap) return false;
-        t.inbox_size.fetch_add(1, std::memory_order_relaxed);
-        backlog_.fetch_add(1, std::memory_order_relaxed);
-        orc_base* head = t.inbox.load(std::memory_order_relaxed);
-        do {
-            ptr->_orc_link = head;
-        } while (!t.inbox.compare_exchange_weak(head, ptr, std::memory_order_release,
-                                                std::memory_order_relaxed));
-        return true;
-    }
-
-    /// Takes shard `tid`'s whole inbox in one exchange and re-enters the
-    /// retire protocol for the batch (every object still holds its token).
-    /// Multi-consumer safe — the owner, an exiting thread's drain, the
-    /// destructor and the background worker can race; the exchange hands the
-    /// chain to exactly one of them.
-    void drain_inbox(int tid) {
-        auto& t = tl_[tid];
-        orc_base* head = t.inbox.exchange(nullptr, std::memory_order_acquire);
-        if (head == nullptr) return;
-        telemetry::TraceSpan span(metrics_.span_ring(), telemetry::SpanKind::kHandoverDrain);
-        std::int64_t taken = 0;
-        for (orc_base* p = head; p != nullptr; p = p->_orc_link) ++taken;
-        span.note_items(static_cast<std::uint64_t>(taken));
-        t.inbox_size.fetch_sub(static_cast<int>(taken), std::memory_order_relaxed);
-        backlog_.fetch_sub(taken, std::memory_order_relaxed);
-        metrics_.on_shard_drain(tid, static_cast<std::uint64_t>(taken));
-        retire_list(head);
-    }
-
-    /// Re-enters the retire protocol for a chain of token-holding objects
-    /// (a drained shard inbox). Mid-cascade the chain flattens into the
-    /// running cascade; at top level the whole batch forms generation 0 of
-    /// ONE cascade — a single walk settles all of it, where the seed's
-    /// inline chain rescans paid one full-HP scan per object.
-    void retire_list(orc_base* head) {
-        auto& t = tl_[thread_id()];
-        const bool nested = t.retire_started;
-        OrcMetrics::Hot mh = metrics_.hot();
-        if (!nested) {
-            t.retire_started = true;
-            mh.on_cascade_begin();
-        }
-        while (head != nullptr) {
-            orc_base* next = head->_orc_link;
-            head->_orc_link = nullptr;
-            t.recursive_list.push_back(head);
-            head = next;
-        }
-        if (!nested) run_cascade(mh, t);
-    }
-
-    /// The generation loop shared by retire() and retire_list(). Caller set
-    /// retire_started and pushed generation 0; this drains the cascade,
-    /// clears the flag, and feeds the background reclaimer's EWMA.
+    /// The generation loop of retire(). Caller set retire_started and pushed
+    /// generation 0; this drains the cascade and clears the flag.
     void run_cascade(OrcMetrics::Hot& mh, DomainState& t) {
         std::size_t begin = 0;
         std::uint32_t gen = 0;
@@ -1266,11 +994,9 @@ class OrcDomain {
             }
             begin = end;
         }
-        const std::size_t cascade_len = t.recursive_list.size();
         t.recursive_list.clear();
         t.retire_started = false;
         mh.on_cascade_end();
-        note_cascade(cascade_len);
 #ifndef ORCGC_TELEMETRY_DISABLED
         // Doubly subsampled watchdog: a per-thread counter (no shared
         // cacheline on the cascade path) elects one cascade in
@@ -1290,39 +1016,6 @@ class OrcDomain {
             }
         }
 #endif
-    }
-
-    /// Cascade-end bookkeeping for the background reclaimer: fold the
-    /// cascade size into the EWMA (alpha = 1/8, stored x8 so small cascades
-    /// do not round to zero) and wake the worker when the backlog crosses
-    /// the mode's threshold. All relaxed — lost updates under races only
-    /// smear the average, and a missed wake is re-evaluated at the next
-    /// cascade end.
-    void note_cascade(std::size_t cascade_len) {
-        const BgReclaimer::Mode mode = bg_mode_.load(std::memory_order_relaxed);
-        if (mode == BgReclaimer::Mode::kOff) return;
-        std::uint64_t e = cascade_ewma_.load(std::memory_order_relaxed);
-        e = e - e / 8 + static_cast<std::uint64_t>(cascade_len);
-        cascade_ewma_.store(e, std::memory_order_relaxed);
-        const std::int64_t b = backlog_.load(std::memory_order_relaxed);
-        if (b <= 0) return;
-        if (!BgReclaimer::should_wake(mode, static_cast<std::uint64_t>(b), e / 8)) return;
-        if (!bg_.running()) {
-            bg_.start([this] { bg_drain_pass(); }, [this] { metrics_.on_bg_park(); });
-        }
-        bg_.notify();
-    }
-
-    /// One wake of the background worker: exchange-drain every shard inbox.
-    /// Runs on the worker thread, which holds a dense tid of its own, so the
-    /// cascades it runs (and the shared scans it may help) are ordinary
-    /// retire traffic. New pushes during the pass re-notify at the pushing
-    /// cascade's end, so nothing is lost between passes.
-    void bg_drain_pass() {
-        metrics_.on_bg_wake();
-        telemetry::TraceSpan span(metrics_.span_ring(), telemetry::SpanKind::kBgCycle);
-        const int wm = thread_id_watermark();
-        for (int it = 0; it < wm; ++it) drain_inbox(it);
     }
 
     /// Algorithm 6 lines 134–145: scan all published hp entries for `ptr`;
@@ -1349,18 +1042,9 @@ class OrcDomain {
                 if (other.hp[idx].load(std::memory_order_seq_cst) == ptr) {
                     mh.on_scan_end(ptr, slots);
                     mh.on_handover(ptr);
-                    orc_base* displaced =
-                        other.handovers[idx].exchange(ptr, std::memory_order_seq_cst);
-                    if (displaced != nullptr && shard_push(it, displaced)) {
-                        // The displaced occupant now belongs to the shard
-                        // that protects it — drained there in one batched
-                        // cascade instead of re-scanned inline by us (the
-                        // seed's chain loop paid a fresh full-HP scan per
-                        // displacement).
-                        mh.on_shard_push(displaced, it);
-                        displaced = nullptr;
-                    }
-                    ptr = displaced;  // non-null only when the inbox was full
+                    // The displaced occupant (token held) is ours to retire
+                    // next: retire_one's loop continues with it.
+                    ptr = other.handovers[idx].exchange(ptr, std::memory_order_seq_cst);
                     return true;
                 }
             }
@@ -1402,13 +1086,6 @@ class OrcDomain {
 
     const bool is_global_;
     std::atomic<std::int64_t> tracked_objects_{0};
-    /// Objects parked across all shard inboxes (producer/consumer relaxed
-    /// RMWs; the telemetry gauge and the bg wake check read it).
-    std::atomic<std::int64_t> backlog_{0};
-    /// Cascade-size EWMA x8 (see note_cascade). Relaxed: advisory only.
-    std::atomic<std::uint64_t> cascade_ewma_{0};
-    /// Latched from ORC_BG_RECLAIM at construction; per-domain overridable.
-    std::atomic<BgReclaimer::Mode> bg_mode_{BgReclaimer::Mode::kOff};
 #ifndef ORCGC_TELEMETRY_DISABLED
     // Stalled-reader watchdog state (watchdog_sample; per-tid sampler memory
     // lives in DomainState). wd_lock_ serializes samplers; wd_last_ns_ is
@@ -1424,8 +1101,6 @@ class OrcDomain {
     std::atomic<std::uint64_t> wd_pinned_{0};
 #endif
     OrcMetrics metrics_;
-    SharedScan scan_;
-    BgReclaimer bg_;
     DomainState tl_[kMaxThreads];
 };
 
@@ -1500,8 +1175,6 @@ inline void OrcDomain::destroy(orc_base* ptr) {
 }
 
 inline OrcDomain::OrcDomain(bool is_global) : is_global_(is_global), metrics_(is_global) {
-    bg_mode_.store(BgReclaimer::mode_from_env(), std::memory_order_relaxed);
-    metrics_.wire_shard_backlog(&backlog_);
 #ifndef ORCGC_TELEMETRY_DISABLED
     metrics_.wire_stall_suspects(&wd_suspects_, &wd_pinned_);
 #endif
@@ -1518,27 +1191,14 @@ inline OrcDomain::OrcDomain(bool is_global) : is_global_(is_global), metrics_(is
 }
 
 inline OrcDomain::~OrcDomain() {
-    // Force the background mode off first: the handover/inbox drains below
-    // run full retire cascades, and note_cascade must not see a live on/
-    // adaptive mode with residual backlog and try to respawn the worker we
-    // are about to join (BgReclaimer's stop latch backstops this too, but
-    // bailing at the mode check keeps the teardown cascades fast).
-    bg_mode_.store(BgReclaimer::Mode::kOff, std::memory_order_relaxed);
-    // Stop the background worker BEFORE leaving the registry: its thread-
-    // exit hook (run inside the join) drains its dense tid across every
-    // still-registered domain — this one included — while all their state is
-    // fully valid. The registry mutex is NOT held here, so the hook's own
-    // lock acquisition cannot deadlock against us.
-    bg_.stop_and_join();
-    // Leave the registry next, under its mutex: after this returns, no
+    // Leave the registry first, under its mutex: after this returns, no
     // exiting thread can drain into state we are about to tear down.
     detail::DomainRegistry::instance().remove(this);
     if (is_global_) {
         // Process teardown: anything still parked is unreachable by now, and
         // the main thread's registry slot is already gone (thread_locals die
         // before statics), so retire()/thread_id() are off limits. Lenient
-        // full-range sweep, exactly the old singleton behavior — shard
-        // inboxes included.
+        // full-range sweep, exactly the old singleton behavior.
         for (auto& t : tl_) {
             for (auto& h : t.handovers) {
                 if (orc_base* ptr = h.exchange(nullptr, std::memory_order_acq_rel)) {
@@ -1548,16 +1208,6 @@ inline OrcDomain::~OrcDomain() {
 #endif
                     delete ptr;
                 }
-            }
-            orc_base* p = t.inbox.exchange(nullptr, std::memory_order_acq_rel);
-            while (p != nullptr) {
-                orc_base* next = p->_orc_link;
-                tsan_acquire_for_delete(p);
-#ifdef ORCGC_ORCSAN
-                orcsan::on_untracked_free(p);
-#endif
-                delete p;
-                p = next;
             }
         }
 #ifdef ORCGC_ORCSAN
@@ -1586,19 +1236,16 @@ inline OrcDomain::~OrcDomain() {
         }
     }
     asym::heavy();
-    // 2. Drain every handover — and every shard inbox — through the full
-    //    retire cascade. The parked objects carry their retire tokens; their
-    //    destructors may cascade into further retires, which also find no
-    //    protections and free immediately. With every hp null, a cascade's
-    //    walk can never displace into an inbox, so the drain converges.
-    for (int tid = 0; tid < kMaxThreads; ++tid) {
-        auto& t = tl_[tid];
+    // 2. Drain every handover through the full retire cascade. The parked
+    //    objects carry their retire tokens; their destructors may cascade
+    //    into further retires, which also find no protections and free
+    //    immediately.
+    for (auto& t : tl_) {
         for (auto& h : t.handovers) {
             if (orc_base* ptr = h.exchange(nullptr, std::memory_order_seq_cst)) {
                 retire(ptr);
             }
         }
-        drain_inbox(tid);
     }
     // 3. Quiescence checks: the drain must have converged, and every object
     //    ever allocated into this domain must be gone.
@@ -1608,10 +1255,6 @@ inline OrcDomain::~OrcDomain() {
                 fatal("orcgc: handover re-parked during OrcDomain destruction "
                       "(domain destroyed while still in use?)");
             }
-        }
-        if (t.inbox.load(std::memory_order_seq_cst) != nullptr) {
-            fatal("orcgc: shard inbox re-filled during OrcDomain destruction "
-                  "(domain destroyed while still in use?)");
         }
     }
     const long long leaked =

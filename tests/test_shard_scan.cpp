@@ -1,47 +1,46 @@
-// Sharded retirement, cooperative scanning, and the background reclaimer
-// (core/orc_domain.hpp + core/orc_bg_reclaimer.hpp).
+// Scan-side coverage for the retire loop (core/orc_domain.hpp): what a
+// scan does with an object it cannot free, and the walk-park generation
+// scan run by many threads at once.
 //
 // The contract under test:
-//   * A scan that displaces an object out of another thread's handover slot
-//     pushes it onto THAT shard's MPSC inbox instead of re-scanning it
-//     inline; the inbox is soft-capped so a stalled shard bounds the
-//     unreclaimed memory it can strand (the paper's O(H·t) argument).
-//   * Inboxes drain at the owner's next unpublish, at thread exit (BEFORE
-//     the registry slot is recycled — the churn test), at domain
-//     destruction, and from the background reclaimer.
-//   * The cooperative shared scan settles every generation item exactly
-//     once however many threads steal chunks (no double-free — the stress
-//     test runs under whatever sanitizer the build carries).
-//   * The adaptive wake threshold is pure, clamped and monotone.
+//   * A scan that parks an object in a handover slot already holding an
+//     earlier park takes the displaced occupant back into its OWN cascade
+//     and re-scans it (Algorithm 6), so at most one object waits per hp
+//     slot — the paper's O(H·t) bound on unreclaimed objects.
+//   * A thread that exits with an index still published and an object
+//     parked on it is unpublished and drained by the exit hook, before its
+//     registry slot is recycled.
+//   * Concurrent batched generations (scan_generation + settle_item) free
+//     every object exactly once.
 //
 // Displacement is driven DETERMINISTICALLY through the raw protection API
 // (get_new_idx / protect_ptr / release_idx — the same calls orc_ptr makes):
 // republishing a new pointer on a held index without releasing it is
 // exactly what get_protected's retry loop does, and leaves the previous
 // park in the handover slot for the next park to displace.
-
+// Companions: test_retire_paths (watermarks, deep cascades) and
+// bench_shard_scan.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/alloc_tracker.hpp"
 #include "core/orc.hpp"
 
 namespace orcgc {
 namespace {
 
-struct Node : orc_base {
+struct Node : orc_base, TrackedObject {
     std::uint64_t value = 0;
 };
 
-struct Leaf : orc_base {};
-
-constexpr int kStressWide = 48;
-struct Wide : orc_base {
-    orc_atomic<Leaf*> child[kStressWide];
+struct WideNode : orc_base, TrackedObject {
+    static constexpr int kChildren = 32;
+    orc_atomic<WideNode*> child[kChildren];
 };
 
 /// Spin-waits (test-only) until `p` reaches `v`.
@@ -51,69 +50,16 @@ void await(const std::atomic<int>& p, int v) {
 
 void advance(std::atomic<int>& p) { p.fetch_add(1, std::memory_order_acq_rel); }
 
-/// Polls `pred` for up to `ms` milliseconds.
-template <typename F>
-bool eventually(F pred, int ms = 5000) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    while (!pred()) {
-        if (std::chrono::steady_clock::now() > deadline) return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return true;
-}
+// ------------------------------------------------------------- displacement
 
-// ---- adaptive threshold (pure function) -----------------------------------
-
-TEST(BgReclaimer, AdaptiveThresholdClampsAndIsMonotone) {
-    // Lower clamp: tiny EWMAs never push the threshold under kMinThreshold.
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(0), BgReclaimer::kMinThreshold);
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(1), BgReclaimer::kMinThreshold);
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(BgReclaimer::kMinThreshold / 2),
-              BgReclaimer::kMinThreshold);
-    // Linear region: 2x the EWMA.
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(100), 200u);
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(1000), 2000u);
-    // Upper clamp, including the overflow guard.
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(BgReclaimer::kMaxThreshold),
-              BgReclaimer::kMaxThreshold);
-    EXPECT_EQ(BgReclaimer::adaptive_threshold(~0ULL), BgReclaimer::kMaxThreshold);
-    // Monotone non-decreasing across a sweep.
-    std::uint64_t prev = 0;
-    for (std::uint64_t e = 0; e < 70000; e += 7) {
-        const std::uint64_t t = BgReclaimer::adaptive_threshold(e);
-        EXPECT_GE(t, prev) << "threshold decreased at ewma=" << e;
-        prev = t;
-    }
-}
-
-TEST(BgReclaimer, ShouldWakePerMode) {
-    using M = BgReclaimer::Mode;
-    EXPECT_FALSE(BgReclaimer::should_wake(M::kOff, 1 << 20, 0));
-    EXPECT_FALSE(BgReclaimer::should_wake(M::kOn, 0, 0));
-    EXPECT_TRUE(BgReclaimer::should_wake(M::kOn, 1, 0));
-    // Adaptive: wakes exactly at the threshold.
-    const std::uint64_t thr = BgReclaimer::adaptive_threshold(100);
-    EXPECT_FALSE(BgReclaimer::should_wake(M::kAdaptive, thr - 1, 100));
-    EXPECT_TRUE(BgReclaimer::should_wake(M::kAdaptive, thr, 100));
-}
-
-// ---- MPSC inbox: deterministic displacement -------------------------------
-
-/// Domain with the background reclaimer pinned OFF regardless of the
-/// ORC_BG_RECLAIM environment (the _bgreclaim ctest leg): the inbox tests
-/// assert exact backlog values that a concurrent bg drain would race. The
-/// reclaimer's own behavior has dedicated tests below.
-std::unique_ptr<OrcDomain> make_quiet_domain() {
+// Algorithm 6's retire loop: a scan that parks an object in a handover slot
+// already holding an earlier park takes the displaced occupant back into its
+// OWN loop and re-scans it. One reader holds one hp index and republishes on
+// command; the main thread retires what it protects, so every park — and
+// the displacement — is forced, not raced. Nothing else may hold garbage:
+// handover_count() stays within the reader's single parked slot throughout.
+TEST(RetireHandover, DisplacedOccupantIsRescannedByTheDisplacingThread) {
     auto dom = std::make_unique<OrcDomain>();
-    dom->set_bg_reclaim(BgReclaimer::Mode::kOff);
-    return dom;
-}
-
-/// One reader thread holds an hp index and republishes on command; the main
-/// thread retires the objects the reader protects, so every park — and the
-/// displacement of the previous park — is forced, not raced.
-TEST(ShardInbox, DisplacedOccupantLandsInProtectorShard) {
-    auto dom = make_quiet_domain();
     orc_ptr<Node*> px = make_orc_in<Node>(*dom);
     orc_ptr<Node*> py = make_orc_in<Node>(*dom);
     orc_base* xr = px.get();
@@ -128,119 +74,33 @@ TEST(ShardInbox, DisplacedOccupantLandsInProtectorShard) {
         dom->protect_ptr(yr, idx);  // republish, NO drain — X's park stays
         advance(phase);             // 3: Y protected on the same index
         await(phase, 4);
-        dom->release_idx(idx, nullptr);  // drains the handover AND the inbox
+        dom->release_idx(idx, nullptr);  // drains Y's park
         advance(phase);                  // 5
     });
 
     await(phase, 1);
-    const std::uint64_t pushes0 =
-        telemetry::kTelemetryEnabled ? dom->metrics().snapshot().shard_pushes : 0;
     px = nullptr;  // retire X: the scan finds the reader's hp and parks X
     EXPECT_EQ(dom->handover_count(), 1u);
-    EXPECT_EQ(dom->shard_backlog(), 0);
+    EXPECT_EQ(dom->object_count(), 2);
     advance(phase);  // 2
     await(phase, 3);
-    py = nullptr;  // retire Y: parks Y, DISPLACING X into the reader's inbox
-    EXPECT_EQ(dom->shard_backlog(), 1);
-    EXPECT_EQ(dom->handover_count(), 2u);  // Y parked + X inboxed
-    if (telemetry::kTelemetryEnabled) {
-        EXPECT_GE(dom->metrics().snapshot().shard_pushes, pushes0 + 1);
-    }
+    py = nullptr;  // retire Y: parks Y and displaces X, which we re-scan
+    EXPECT_EQ(dom->handover_count(), 1u) << "only Y may be parked";
+    EXPECT_EQ(dom->object_count(), 1) << "X is unprotected: its re-scan frees it";
     advance(phase);  // 4
     await(phase, 5);
     reader.join();
 
-    EXPECT_EQ(dom->shard_backlog(), 0);
     EXPECT_EQ(dom->handover_count(), 0u);
     EXPECT_EQ(dom->object_count(), 0);
-    if (telemetry::kTelemetryEnabled) {
-        EXPECT_GE(dom->metrics().snapshot().shard_drained, 1u);
-    }
 }
 
-/// The soft cap bounds what a stalled shard can strand: pile displacements
-/// onto one held index; once the inbox is full the displaced object falls
-/// back to the displacing thread's own cascade (and frees immediately here,
-/// since nothing protects it any more).
-TEST(ShardInbox, SoftCapBoundsStalledShardBacklog) {
-    auto dom = make_quiet_domain();
-    constexpr int kRounds = OrcDomain::kInboxSoftCap + 9;
-    std::vector<orc_ptr<Node*>> objs;
-    std::vector<orc_base*> raw;
-    objs.reserve(kRounds);
-    for (int i = 0; i < kRounds; ++i) {
-        objs.push_back(make_orc_in<Node>(*dom));
-        raw.push_back(objs.back().get());
-    }
-
-    std::atomic<int> phase{0};
-    std::thread reader([&] {
-        const int idx = dom->get_new_idx();
-        for (int r = 0; r < kRounds; ++r) {
-            dom->protect_ptr(raw[static_cast<std::size_t>(r)], idx);
-            advance(phase);          // 2r+1: round r protected
-            await(phase, 2 * r + 2);  // main retired round r
-        }
-        dom->release_idx(idx, nullptr);
-        advance(phase);
-    });
-
-    for (int r = 0; r < kRounds; ++r) {
-        await(phase, 2 * r + 1);
-        objs[static_cast<std::size_t>(r)] = nullptr;  // park round r, displace r-1
-        advance(phase);
-    }
-    await(phase, 2 * kRounds + 1);
-    reader.join();
-
-    // Everything drained on release; the cap held the backlog the whole way
-    // (checked implicitly: overflow objects freed inline, so the final drain
-    // had at most kInboxSoftCap inbox entries to settle).
-    EXPECT_EQ(dom->shard_backlog(), 0);
-    EXPECT_EQ(dom->object_count(), 0);
-}
-
-TEST(ShardInbox, BacklogNeverExceedsSoftCap) {
-    auto dom = make_quiet_domain();
-    constexpr int kRounds = OrcDomain::kInboxSoftCap + 9;
-    std::vector<orc_ptr<Node*>> objs;
-    std::vector<orc_base*> raw;
-    for (int i = 0; i < kRounds; ++i) {
-        objs.push_back(make_orc_in<Node>(*dom));
-        raw.push_back(objs.back().get());
-    }
-    std::atomic<int> phase{0};
-    std::int64_t peak = 0;
-    std::thread reader([&] {
-        const int idx = dom->get_new_idx();
-        for (int r = 0; r < kRounds; ++r) {
-            dom->protect_ptr(raw[static_cast<std::size_t>(r)], idx);
-            advance(phase);
-            await(phase, 2 * r + 2);
-        }
-        dom->release_idx(idx, nullptr);
-        advance(phase);
-    });
-    for (int r = 0; r < kRounds; ++r) {
-        await(phase, 2 * r + 1);
-        objs[static_cast<std::size_t>(r)] = nullptr;
-        peak = std::max(peak, dom->shard_backlog());
-        advance(phase);
-    }
-    await(phase, 2 * kRounds + 1);
-    reader.join();
-    EXPECT_LE(peak, static_cast<std::int64_t>(OrcDomain::kInboxSoftCap));
-    EXPECT_GT(peak, 0);  // displacements really happened
-    EXPECT_EQ(dom->object_count(), 0);
-}
-
-// ---- thread exit hands the shard back (churn regression) -------------------
-
-/// A thread exiting with a non-empty inbox must hand it back BEFORE its
-/// registry slot is recycled: rapid create/exit churn, one forced
-/// displacement per generation of thread, nothing may leak or crash.
-TEST(ShardInbox, ThreadChurnDrainsInboxAtExit) {
-    auto dom = make_quiet_domain();
+// Thread churn with one forced displacement per round: each worker exits
+// with its index still published and an object parked on it. The exit hook
+// must unpublish and drain before the registry slot is recycled, so at
+// every round's join nothing stays parked or allocated.
+TEST(RetireHandover, ThreadChurnWithDisplacementLeavesNothingParked) {
+    auto dom = std::make_unique<OrcDomain>();
     constexpr int kChurn = 24;  // < kMaxHPs: each abandoned index is gone for good
     for (int i = 0; i < kChurn; ++i) {
         orc_ptr<Node*> px = make_orc_in<Node>(*dom);
@@ -256,30 +116,32 @@ TEST(ShardInbox, ThreadChurnDrainsInboxAtExit) {
             dom->protect_ptr(yr, idx);
             advance(phase);  // 3
             await(phase, 4);
-            // Exit abandoning the index: hp published, handover parked (Y),
-            // inbox non-empty (X). The exit hook must drain all three.
+            // Exit abandoning the index: hp published, handover parked (Y).
+            // The exit hook must unpublish and drain both.
         });
         await(phase, 1);
         px = nullptr;  // park X at the worker
         advance(phase);
         await(phase, 3);
-        py = nullptr;  // park Y, displace X into the worker's inbox
-        EXPECT_EQ(dom->shard_backlog(), 1);
+        py = nullptr;  // park Y, displace X back to us (freed by the re-scan)
+        EXPECT_EQ(dom->handover_count(), 1u) << "churn round " << i;
         advance(phase);
-        worker.join();  // exit hook: unpublish, drain handover + inbox
-        EXPECT_EQ(dom->shard_backlog(), 0) << "churn round " << i;
+        worker.join();  // exit hook: unpublish, drain the handover
+        EXPECT_EQ(dom->handover_count(), 0u) << "churn round " << i;
         EXPECT_EQ(dom->object_count(), 0) << "churn round " << i;
     }
 }
 
-// ---- cooperative scan: no double-free across stealers ----------------------
+// ------------------------------------------------------ concurrent batches
 
-/// Concurrency stress for the shared-scan claim protocol: several threads
-/// run wide cascades in one domain, so their batched generations overlap
-/// and chunks get stolen. Every object must be freed exactly once — the
-/// object_count check catches a lost object, the build's sanitizer (ASan /
-/// TSan / OrcSan) catches a double free or a racing settle.
-TEST(SharedScan, ConcurrentCascadesSettleExactlyOnce) {
+// Several threads run wide cascades in one domain at once, so their batched
+// generations walk and settle concurrently. Every object must be freed
+// exactly once — object_count catches a lost object, the double-destroy
+// counter and the build's sanitizer (ASan / TSan / OrcSan) a double free or
+// a racing settle.
+TEST(RetireCascade, ConcurrentWideCascadesFreeEveryNodeExactlyOnce) {
+    auto& counters = AllocCounters::instance();
+    const auto doubles_before = counters.double_destroys();
     auto dom = std::make_unique<OrcDomain>();
     constexpr int kThreads = 4;
     constexpr int kIters = 300;
@@ -289,188 +151,21 @@ TEST(SharedScan, ConcurrentCascadesSettleExactlyOnce) {
         ts.emplace_back([&] {
             await(go, 1);
             for (int i = 0; i < kIters; ++i) {
-                orc_ptr<Wide*> root = make_orc_in<Wide>(*dom);
-                for (int j = 0; j < kStressWide; ++j) {
-                    orc_ptr<Leaf*> c = make_orc_in<Leaf>(*dom);
+                orc_ptr<WideNode*> root = make_orc_in<WideNode>(*dom);
+                for (int j = 0; j < WideNode::kChildren; ++j) {
+                    orc_ptr<WideNode*> c = make_orc_in<WideNode>(*dom);
                     root->child[j].store(c);
                 }
-                // Dropping root cascades kStressWide+1 nodes through the
-                // batched path; concurrent cascades steal each other's
-                // settle chunks.
+                // Dropping root cascades kChildren+1 nodes, the children as
+                // one batched generation.
             }
         });
     }
     advance(go);
     for (auto& t : ts) t.join();
     EXPECT_EQ(dom->object_count(), 0);
-    EXPECT_EQ(dom->shard_backlog(), 0);
-    if (telemetry::kTelemetryEnabled) {
-        // The batched path ran shared scans; stealing itself is scheduling-
-        // dependent, so only the scan counter is asserted.
-        EXPECT_GT(dom->metrics().snapshot().scans_shared, 0u);
-    }
-}
-
-// ---- background reclaimer ---------------------------------------------------
-
-TEST(BgReclaimer, WakesDrainsParksAndJoinsOnDestroy) {
-    auto dom = std::make_unique<OrcDomain>();
-    dom->set_bg_reclaim(BgReclaimer::Mode::kOn);
-    EXPECT_FALSE(dom->bg_running());  // lazily spawned
-
-    orc_ptr<Node*> px = make_orc_in<Node>(*dom);
-    orc_ptr<Node*> py = make_orc_in<Node>(*dom);
-    orc_base* xr = px.get();
-    orc_base* yr = py.get();
-    std::atomic<int> phase{0};
-    std::thread reader([&] {
-        const int idx = dom->get_new_idx();
-        dom->protect_ptr(xr, idx);
-        advance(phase);
-        await(phase, 2);
-        dom->protect_ptr(yr, idx);
-        advance(phase);  // 3
-        await(phase, 4);  // wait while the BG worker drains the inbox
-        dom->release_idx(idx, nullptr);
-        advance(phase);  // 5
-    });
-    await(phase, 1);
-    px = nullptr;
-    advance(phase);
-    await(phase, 3);
-    py = nullptr;  // displaces X into the reader's inbox -> backlog 1 -> wake
-    // Mode kOn: any backlog wakes the worker; it spawns lazily, drains the
-    // inbox (X frees — the reader's hp covers only Y), and parks.
-    EXPECT_TRUE(eventually([&] { return dom->shard_backlog() == 0; }));
-    EXPECT_TRUE(dom->bg_running());
-    if (telemetry::kTelemetryEnabled) {
-        EXPECT_TRUE(eventually([&] {
-            const OrcMetrics::Snapshot s = dom->metrics().snapshot();
-            return s.bg_wakes >= 1 && s.bg_parks >= 1;
-        }));
-    }
-    advance(phase);  // 4
-    await(phase, 5);
-    reader.join();
-    EXPECT_EQ(dom->object_count(), 0);
-    // Destruction must stop and join the worker (then pass the quiescence
-    // checks); a deadlock here is the regression this test exists for.
-    dom.reset();
-}
-
-/// stop_and_join() latches: any later start() must refuse to spawn. This is
-/// what keeps a retire cascade racing ~OrcDomain from respawning a worker
-/// into a domain mid-teardown (the destructor also forces the mode off, but
-/// the latch must hold on its own).
-TEST(BgReclaimer, StartAfterStopAndJoinIsANoOp) {
-    // Never-started reclaimer: stop_and_join is safe and still latches.
-    BgReclaimer bg;
-    bg.stop_and_join();
-    std::atomic<int> drains{0};
-    bg.start([&] { drains.fetch_add(1); }, [] {});
-    EXPECT_FALSE(bg.running());
-    bg.notify();  // only raises a flag; no worker may exist to see it
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(drains.load(), 0);
-
-    // Live worker: start, stop, then a late start is refused too.
-    BgReclaimer bg2;
-    bg2.start([&] { drains.fetch_add(1); }, [] {});
-    EXPECT_TRUE(bg2.running());
-    bg2.stop_and_join();
-    EXPECT_FALSE(bg2.running());
-    bg2.start([&] { drains.fetch_add(1); }, [] {});
-    EXPECT_FALSE(bg2.running());
-}
-
-/// Regression for the destructor-respawn race: a domain destroyed in mode
-/// kOn with residual backlog runs retire cascades from ~OrcDomain's own
-/// drain (step 2), and those cascades end in note_cascade with backlog
-/// still nonzero — which must NOT respawn the background worker after
-/// stop_and_join() (the respawned worker would race teardown and touch
-/// DomainState after tl_ is destroyed; the sanitizer legs catch it).
-///
-/// Setup: MAIN holds the protection, so the displaced park lands in MAIN's
-/// shard inbox — which no thread-exit hook drains — leaving a parked
-/// handover plus inbox backlog on the domain at destruction. The retires
-/// run on the worker via hard-link decrements (an orc_ptr's hp index is
-/// thread-local to main and cannot be released cross-thread).
-TEST(BgReclaimer, DestructionWithResidualBacklogDoesNotRespawnWorker) {
-    auto dom = make_quiet_domain();  // kOff while building the backlog
-    orc_base* xr = nullptr;
-    orc_base* yr = nullptr;
-    {
-        orc_ptr<Node*> px = make_orc_in<Node>(*dom);
-        orc_ptr<Node*> py = make_orc_in<Node>(*dom);
-        xr = px.get();
-        yr = py.get();
-        // Hard links keep the orc_ptr releases below from retiring; the
-        // worker's decrements are then what drop each counter to zero, so
-        // both retire cascades run on the WORKER thread.
-        orc_increment(xr);
-        orc_increment(yr);
-    }
-    const int idx = dom->get_new_idx();
-    dom->protect_ptr(xr, idx);
-
-    std::atomic<int> phase{0};
-    std::thread worker([&] {
-        orc_decrement(xr);  // retire X: parks it in MAIN's handover slot
-        advance(phase);     // 1
-        await(phase, 2);    // main republished Y on the same index
-        orc_decrement(yr);  // retire Y: parks Y, displaces X into MAIN's inbox
-        advance(phase);     // 3
-    });
-    await(phase, 1);
-    dom->protect_ptr(yr, idx);  // republish, NO release — X's park stays
-    advance(phase);             // 2
-    await(phase, 3);
-    worker.join();
-    ASSERT_EQ(dom->shard_backlog(), 1);
-    ASSERT_EQ(dom->handover_count(), 2u);  // Y parked + X inboxed
-    // idx stays published on purpose: releasing it would drain the very
-    // backlog this test needs; the destructor's step-1 unpublish covers it.
-
-    // Flip to kOn only now (a live worker would have drained the backlog),
-    // then destroy: the destructor's handover drain retires Y through a
-    // full cascade whose note_cascade sees mode-on backlog. The forced
-    // mode-off store plus the stop latch must keep the worker dead; the
-    // quiescence checks then prove X and Y both freed.
-    dom->set_bg_reclaim(BgReclaimer::Mode::kOn);
-    dom.reset();
-}
-
-TEST(BgReclaimer, AdaptiveStaysAsleepBelowThreshold) {
-    auto dom = std::make_unique<OrcDomain>();
-    dom->set_bg_reclaim(BgReclaimer::Mode::kAdaptive);
-
-    orc_ptr<Node*> px = make_orc_in<Node>(*dom);
-    orc_ptr<Node*> py = make_orc_in<Node>(*dom);
-    orc_base* xr = px.get();
-    orc_base* yr = py.get();
-    std::atomic<int> phase{0};
-    std::thread reader([&] {
-        const int idx = dom->get_new_idx();
-        dom->protect_ptr(xr, idx);
-        advance(phase);
-        await(phase, 2);
-        dom->protect_ptr(yr, idx);
-        advance(phase);
-        await(phase, 4);
-        dom->release_idx(idx, nullptr);
-        advance(phase);
-    });
-    await(phase, 1);
-    px = nullptr;
-    advance(phase);
-    await(phase, 3);
-    py = nullptr;  // backlog 1 — far below the adaptive floor (kMinThreshold)
-    EXPECT_EQ(dom->shard_backlog(), 1);
-    EXPECT_FALSE(dom->bg_running()) << "adaptive mode woke below its threshold";
-    advance(phase);
-    await(phase, 5);
-    reader.join();
-    EXPECT_EQ(dom->object_count(), 0);
+    EXPECT_EQ(dom->handover_count(), 0u);
+    EXPECT_EQ(counters.double_destroys(), doubles_before);
 }
 
 }  // namespace
