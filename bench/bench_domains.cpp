@@ -147,10 +147,10 @@ void run_series(const char* mix, const BenchConfig& cfg, const Body& body) {
 /// counted by dom's own stats — the deterministic proxy for the retire-path
 /// tax the timed section measures in wall-clock.
 double slots_per_node(OrcDomain& dom, int cascades) {
-    dom.reset_stats();
+    dom.metrics().reset();
     std::uint64_t nodes = 0;
     for (int i = 0; i < cascades; ++i) nodes += chain_cascade_in(dom);
-    const OrcDomain::RetireStats s = dom.stats();
+    const OrcMetrics::Snapshot s = dom.metrics().snapshot();
     return static_cast<double>(s.slots_scanned) / static_cast<double>(nodes);
 }
 

@@ -10,10 +10,10 @@
 //                protocol of Algorithm 5 in isolation).
 //   chain/D      a D-node singly linked chain whose head drop cascades one
 //                node per generation (worst case for batching: generations of
-//                size 1).
+//                size 1, one walk per node).
 //   fanout/F     a root holding F orc_atomic children: dropping the root
 //                retires F+1 nodes in two generations (1 then F) — the shape
-//                the batched snapshot path amortizes.
+//                the walk-park generation scan amortizes.
 //
 // The two mixes separate the watermark effect from the batching effect:
 //
@@ -27,12 +27,12 @@
 // All `bare` rows run before any `hoard48` row on purpose: a global-watermark
 // engine can never lower its scan bound again once the hoarder has raised it.
 //
-// A quiescent instrumented section reports scans, snapshots and slots
+// A quiescent instrumented section reports generation walks and slots
 // scanned per shape (the counters are always on — OrcDomain::metrics()), and
-// fails the process if the fanout cascade needs more than 2 full-HP-array
-// snapshots — the regression gate for the batched retire path. The section
-// is skipped only in -DORCGC_TELEMETRY=OFF overhead-measurement builds,
-// where every counter reads zero.
+// fails the process if the fanout cascade needs more than 2 full-HP walks —
+// the regression gate for the generation scan. The section is skipped only
+// in -DORCGC_TELEMETRY=OFF overhead-measurement builds, where every counter
+// reads zero.
 //
 // Ops are counted in *nodes retired* (not cascades), so rows are comparable
 // across shapes. JSON mirroring: --json <path> or ORC_BENCH_JSON.
@@ -166,9 +166,9 @@ void run_all_shapes(const char* mix, const BenchConfig& cfg) {
 }
 
 /// Quiescent, single-threaded instrumented pass: per cascade shape, report
-/// how many hp-array scans/snapshots the engine performed and how many slots
-/// it touched. Returns false if the fanout cascade exceeded the 2-snapshot
-/// budget the batched path is designed to meet.
+/// how many generation walks the engine performed and how many slots it
+/// touched. Returns false if the fanout cascade exceeded the 2-walk budget
+/// (one walk per generation).
 bool report_stats() {
     auto& engine = OrcDomain::global();
     constexpr int kCascades = 200;
@@ -183,29 +183,24 @@ bool report_stats() {
         {"fanout/32", [] { return fanout_cascade(); }, true},
     };
     for (const Shape& shape : kShapes) {
-        engine.reset_stats();
+        engine.metrics().reset();
         std::uint64_t nodes = 0;
         for (int i = 0; i < kCascades; ++i) nodes += shape.one();
-        const OrcDomain::RetireStats s = engine.stats();
+        const OrcMetrics::Snapshot s = engine.metrics().snapshot();
         const double snapshots_per_cascade = static_cast<double>(s.snapshots) / kCascades;
-        const double scans_per_node = static_cast<double>(s.scans) / static_cast<double>(nodes);
         const double slots_per_node =
             static_cast<double>(s.slots_scanned) / static_cast<double>(nodes);
-        std::printf(
-            "retire_stats %-12s snapshots/cascade=%.2f scans/node=%.2f slots/node=%.2f "
-            "batch_frees=%llu slow=%llu\n",
-            shape.name, snapshots_per_cascade, scans_per_node, slots_per_node,
-            static_cast<unsigned long long>(s.batch_frees),
-            static_cast<unsigned long long>(s.slow_frees));
+        std::printf("retire_stats %-12s snapshots/cascade=%.2f slots/node=%.2f frees=%llu\n",
+                    shape.name, snapshots_per_cascade, slots_per_node,
+                    static_cast<unsigned long long>(s.freed_batch));
         // Mirror into the JSON artifact: mean = snapshots/cascade,
         // normalized = slots scanned per node retired.
         RunStats row;
         row.mean_ops_per_sec = snapshots_per_cascade;
-        row.stddev = scans_per_node;
         print_row("retire_stats", shape.name, "quiescent", 1, row, slots_per_node);
         if (shape.gated && snapshots_per_cascade > 2.0) {
             std::fprintf(stderr,
-                         "FAIL: fanout cascade used %.2f full-HP snapshots per cascade "
+                         "FAIL: fanout cascade used %.2f full-HP walks per cascade "
                          "(budget: 2)\n",
                          snapshots_per_cascade);
             ok = false;

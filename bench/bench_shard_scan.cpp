@@ -145,8 +145,8 @@ void run_all_shapes(const char* mix, const BenchConfig& cfg) {
 }
 
 /// Quiescent instrumented pass: the wide cascade must settle in at most 2
-/// full-HP walks per cascade (one per generation of kSnapshotMin+ members —
-/// the regression gate for the batched path). Skipped in
+/// full-HP walks per cascade (one per generation: the root, then every leaf
+/// at once — the regression gate for the walk-park scan). Skipped in
 /// -DORCGC_TELEMETRY=OFF builds where counters read 0.
 bool report_stats() {
     auto& engine = OrcDomain::global();

@@ -118,8 +118,8 @@ inline void publish(std::atomic<T>& slot, V value) noexcept {
     light();
 }
 
-/// Scan-side barrier: call ONCE per protection scan (hp snapshot, per-object
-/// scan, era/guard sweep), after the retire token / unlink that justifies the
+/// Scan-side barrier: call ONCE per protection scan (OrcGC generation walk,
+/// manual-scheme hp scan, era/guard sweep), after the retire token / unlink that justifies the
 /// scan and before the first protection-slot read. Counted; the count must
 /// scale with scans, never with protected loads (bench_publish_ablation
 /// gates on this).

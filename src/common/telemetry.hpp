@@ -316,12 +316,12 @@ class LogHistogram {
 
 // ---- event tracing --------------------------------------------------------
 
+/// Ring record types. The values are a wire format (dumps are decoded by
+/// number), so retired types leave gaps rather than renumbering.
 enum class TraceType : std::uint8_t {
     kRetire = 1,    ///< retire token taken for an object
-    kScanBegin = 2, ///< per-object hp scan started
-    kScanEnd = 3,   ///< per-object hp scan finished (arg = slots visited)
     kHandover = 4,  ///< object parked on another thread's handover slot
-    kFree = 5,      ///< object deleted (arg = 1 if proven by a batch snapshot)
+    kFree = 5,      ///< object deleted
     kDrain = 6,     ///< parked object taken out of a handover slot
     kSpanBegin = 9, ///< a TraceSpan opened (arg = SpanKind)
     kSpanEnd = 10,  ///< a TraceSpan closed (arg = SpanKind, obj = items payload)
@@ -330,8 +330,6 @@ enum class TraceType : std::uint8_t {
 inline const char* trace_type_name(TraceType t) noexcept {
     switch (t) {
         case TraceType::kRetire: return "retire";
-        case TraceType::kScanBegin: return "scan_begin";
-        case TraceType::kScanEnd: return "scan_end";
         case TraceType::kHandover: return "handover";
         case TraceType::kFree: return "free";
         case TraceType::kDrain: return "drain";

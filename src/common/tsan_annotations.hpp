@@ -66,8 +66,9 @@ inline void tsan_release_protection(const std::atomic<T>& slot) noexcept {
 /// Reclaimer-side acquire immediately before deleting `obj`: pairs with the
 /// tsan_release_protection() of whichever reader most recently announced it
 /// was done with obj. Shared by every OrcGC delete site — the protocol
-/// evidence differs (per-object scan vs. generation snapshot, both with
-/// sequence revalidation) but the invisible edge TSan needs is identical.
+/// evidence differs (a generation walk with sequence revalidation, or a
+/// quiescent domain teardown) but the invisible edge TSan needs is
+/// identical.
 inline void tsan_acquire_for_delete(const void* obj) noexcept {
     ORC_ANNOTATE_HAPPENS_AFTER(obj);
     (void)obj;  // the macro compiles to nothing outside TSan builds

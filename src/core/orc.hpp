@@ -22,5 +22,4 @@
 #include "core/orc_atomic.hpp"
 #include "core/orc_base.hpp"
 #include "core/orc_domain.hpp"
-#include "core/orc_gc.hpp"
 #include "core/orc_ptr.hpp"

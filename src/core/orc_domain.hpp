@@ -9,8 +9,7 @@
 // counter updates and retires route to the right domain no matter which
 // thread performs them, while protection (load / make_orc) uses the
 // *ambient* domain — a thread-local set by ScopedDomain, defaulting to the
-// global domain. OrcEngine (orc_gc.hpp) survives as a thin façade over
-// OrcDomain::global() so single-domain code keeps compiling unchanged.
+// global domain.
 //
 // Why domains: one tenant parking dozens of hazardous pointers, or retiring
 // in storms, inflates every other tenant's retire scans when all state is
@@ -31,16 +30,14 @@
 //   * the recursion guard that flattens cascading retires (a deleted node's
 //     orc_atomic members decrement — and possibly retire — their targets).
 //
-// Retire scans come in two flavours:
-//   * per-object (retire_one / try_handover): the paper's Algorithm 6 scan,
-//     used for small cascade generations and as the slow path;
-//   * batched (retire_generation_batched, the walk-park generation scan):
-//     the cascade *generation* is sorted, then one asym::heavy() and one
-//     walk over every published hp probes each hp into it and parks covered
-//     members in place. The walk must be per-generation — objects pushed
-//     while a generation is deleted acquire their retire tokens *after* the
-//     previous walk, and Lemma 1's scan is only valid when it starts after
-//     the token is taken.
+// Retire scans have one form, the walk-park generation scan
+// (scan_generation): the cascade *generation* is sorted, then one
+// asym::heavy() and one walk over every published hp probes each hp into it
+// and parks covered members in place. The paper's per-object scan
+// (Algorithm 6) is the size-1 generation. The walk must be per-generation —
+// objects pushed while a generation is deleted acquire their retire tokens
+// *after* the previous walk, and Lemma 1's scan is only valid when it starts
+// after the token is taken.
 //
 // Destruction protocol (non-global domains; DESIGN.md "Layering and
 // domains"): the destructor unpublishes every hp slot, drains every
@@ -123,12 +120,6 @@ class OrcDomain {
     /// indices [1, kMaxHPs) are handed to orc_ptr instances.
     static constexpr int kMaxHPs = 64;
 
-    /// Cascade generations at least this large take the batched snapshot
-    /// path; smaller ones run the per-object scan (a snapshot of T threads
-    /// costs about as much as one try_handover pass, so it has to amortize
-    /// over several objects to win).
-    static constexpr std::size_t kSnapshotMin = 4;
-
     /// Stalled-reader watchdog (watchdog_sample): a slot whose heartbeat is
     /// frozen must pin at least this many parked objects before it can be
     /// flagged — a reader parked on one node is idle, not a leak source.
@@ -149,8 +140,8 @@ class OrcDomain {
     /// ~200ms (two-sample streak) while the amortized cost rounds to zero.
     static constexpr std::uint64_t kWatchdogIntervalNs = 100'000'000;
 
-    /// The process-wide default domain — what OrcEngine::instance() fronts
-    /// and what untagged objects (orc_base::_orc_dom == nullptr) route to.
+    /// The process-wide default domain — what untagged objects
+    /// (orc_base::_orc_dom == nullptr) route to.
     static OrcDomain& global() {
         static OrcDomain domain(/*is_global=*/true);
         return domain;
@@ -246,10 +237,9 @@ class OrcDomain {
     // ---- protection -------------------------------------------------------
 
     /// Publishes `ptr` (unmarked) at hp index `idx`. The publish is a release
-    /// store + asym::light(); the scan-side asym::heavy() (take_snapshot /
-    /// try_handover) replaces the seq_cst edge the old full-fence exchange
-    /// provided, and the caller's link revalidation catches a publish the
-    /// scan raced past.
+    /// store + asym::light(); the scan-side asym::heavy() (scan_generation)
+    /// replaces the seq_cst edge the old full-fence exchange provided, and
+    /// the caller's link revalidation catches a publish the scan raced past.
     void protect_ptr(orc_base* ptr, int idx) noexcept {
         auto& slot = tl_[thread_id()].hp[idx];
         tsan_release_protection(slot);
@@ -348,7 +338,7 @@ class OrcDomain {
         scratch_release();
     }
 
-    // ---- retire (Algorithm 5, batched) ------------------------------------
+    // ---- retire (Algorithms 5 and 6) --------------------------------------
 
     /// Runs the pass-the-pointer retire protocol for an object whose retire
     /// token (kBRetired) the caller holds. Deletes the object if Lemma 1's
@@ -358,8 +348,8 @@ class OrcDomain {
     ///
     /// Cascades are processed in generations: deleting generation g's objects
     /// runs destructors whose decrements push generation g+1 into
-    /// recursive_list. Generations of kSnapshotMin+ objects share one hp
-    /// snapshot; smaller ones scan per object.
+    /// recursive_list. Each generation, whatever its size, shares one
+    /// asym::heavy() and one hp walk (scan_generation).
     void retire(orc_base* ptr) {
 #ifdef ORCGC_ORCSAN
         {
@@ -499,34 +489,6 @@ class OrcDomain {
 #endif
     }
 
-    /// Retire-path statistics, kept as the stable names the benches and
-    /// tests grew up with; since the telemetry migration this is a view over
-    /// OrcMetrics::snapshot(). Counters are per-domain: a noisy neighbor's
-    /// scans never show up in another domain's stats (bench_domains gates on
-    /// this).
-    struct RetireStats {
-        std::uint64_t scans = 0;          ///< per-object try_handover passes
-        std::uint64_t snapshots = 0;      ///< full-HP-array snapshots taken
-        std::uint64_t slots_scanned = 0;  ///< hp slots loaded by scans + snapshots
-        std::uint64_t batch_frees = 0;    ///< deletes proven by a snapshot
-        std::uint64_t slow_frees = 0;     ///< deletes proven by a per-object scan
-        std::uint64_t handovers = 0;      ///< objects parked on another thread's hp
-    };
-
-    RetireStats stats() const noexcept {
-        const OrcMetrics::Snapshot m = metrics_.snapshot();
-        RetireStats s;
-        s.scans = m.scans;
-        s.snapshots = m.snapshots;
-        s.slots_scanned = m.slots_scanned;
-        s.batch_frees = m.freed_batch;
-        s.slow_frees = m.freed_slow;
-        s.handovers = m.handovers;
-        return s;
-    }
-
-    void reset_stats() noexcept { metrics_.reset(); }
-
     // ---- introspection (tests / memory-bound benches) ----------------------
 
     /// Objects allocated into this domain (make_orc_in) and not yet
@@ -622,7 +584,7 @@ class OrcDomain {
     }
 #endif
 
-    // ---- internal (make_orc_in / façade plumbing) --------------------------
+    // ---- internal (make_orc_in plumbing) -----------------------------------
 
     /// Records an allocation into this domain. Called by make_orc_in after
     /// tagging the object, before it can escape.
@@ -631,6 +593,18 @@ class OrcDomain {
     }
 
   private:
+    /// One member of the generation scan_generation walks, kept sorted by
+    /// ptr; lorc is its pre-read _orc word. A member that the walk hands over
+    /// in place is no longer ours: its lorc becomes kParked, a value no
+    /// walked member can hold (its word carries kBRetired). An unparked one
+    /// is freed if its _orc still equals lorc (settle_item). Two words per
+    /// member: a tree teardown puts hundreds of thousands in one generation.
+    struct GenItem {
+        orc_base* ptr;
+        std::uint64_t lorc;
+    };
+    static constexpr std::uint64_t kParked = 0;
+
     /// Per-domain, per-thread slot machinery (the paper's thread-local
     /// arrays, instance-scoped).
     struct alignas(kCacheLineSize) DomainState {
@@ -692,19 +666,9 @@ class OrcDomain {
         }
         // Grown-once scratch: capacity is retained across calls, so
         // steady-state retires never touch the heap.
-        std::vector<orc_base*> recursive_list;   // pending cascade generations
-        std::vector<orc_base*> gen_items;        // generation copy
-        std::vector<std::uint64_t> gen_lorc;     // pre-read _orc per gen object
-        std::vector<std::uint8_t> gen_state;     // kItemPending/Parked/Fallback
-        std::vector<std::uint32_t> gen_order;    // item indices sorted by ptr
+        std::vector<orc_base*> recursive_list;  // pending cascade generations
+        std::vector<GenItem> gen;               // the generation being walked
     };
-
-    /// Post-walk disposition of a generation item (gen_state): kItemParked
-    /// was handed over in place during the walk and is no longer ours;
-    /// kItemPending passes the Lemma 1 free check if its _orc is still
-    /// unchanged; kItemFallback (pre-read not zero+retired, i.e. a
-    /// resurrection in flight) re-runs the full per-object protocol.
-    enum : std::uint8_t { kItemPending = 0, kItemParked = 1, kItemFallback = 2 };
 
     explicit OrcDomain(bool is_global);  // defined below (needs DomainRegistry)
 
@@ -821,16 +785,48 @@ class OrcDomain {
         }
     }
 
-    /// The per-object protocol of Algorithm 6 for one retired object (token
-    /// held by the caller): resurrection check, hp scan with handover, Lemma 1
-    /// sequence revalidation, delete.
-    void retire_one(OrcMetrics::Hot& mh, orc_base* ptr) {
-        std::uint32_t chain = 0;
-        while (ptr != nullptr) {
+    /// The retire scan (Algorithm 6) for one cascade generation
+    /// recursive_list[begin, end). Every generation takes this path, a
+    /// single retired object included: Algorithm 6's per-object scan is the
+    /// size-1 case. Copy the generation out of recursive_list into t.gen
+    /// (settle_item must never index recursive_list — it grows, and
+    /// reallocates, as settling destroys push the next generation), pre-read
+    /// each _orc, sort the items by address, then ONE asym::heavy() and one
+    /// walk over every published hp in the domain. Each hp that probes into
+    /// the generation parks that item in place (handover exchange into the
+    /// covering slot); whatever the exchange displaced rejoins OUR cascade
+    /// as a next-generation member, as in the paper's retire loop. A
+    /// duplicate hit on an already-parked item is skipped — one park per
+    /// item. Unlike Algorithm 6 the walk does not stop at the first hit: it
+    /// serves the whole generation.
+    ///
+    /// The pre-read also handles resurrection (Algorithm 6 lines 147–158):
+    /// an item whose _orc is no longer zero+retired was re-linked by a thread
+    /// holding a local reference, so its token is dropped here, before the
+    /// fence. clear_bit_retired can drain our scratch handover and so
+    /// re-enter retire(), which pushes onto recursive_list: the loop copies
+    /// recursive_list[i] by value and holds no reference into the vector.
+    ///
+    /// Soundness: every walked item's retire token was acquired before the
+    /// walk started, so a protection the walk misses was published SC-after
+    /// it — such a reader revalidates against a source link, and the
+    /// unchanged sequence plus zero counter (settle_item) prove no link
+    /// contained the object at any point in the pre-read..re-read window.
+    /// Parking is conservative: the object keeps its token and re-enters the
+    /// protocol when the slot drains, even if the protecting thread released
+    /// the hp between our read and the exchange (the hp_peak bound covers
+    /// such late parks).
+    void scan_generation(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
+                         std::size_t end) {
+        telemetry::TraceSpan span(mh.span_ring(), telemetry::SpanKind::kScanGeneration);
+        span.note_items(static_cast<std::uint64_t>(end - begin));
+        auto& gen = t.gen;
+        gen.clear();
+        for (std::size_t i = begin; i < end; ++i) {
+            orc_base* const ptr = t.recursive_list[i];
             std::uint64_t lorc = ptr->_orc.load(std::memory_order_seq_cst);
             if (!orc::is_zero_retired(lorc)) {
-                // Resurrected: a thread holding a local reference re-linked
-                // the object. Drop the token (and re-take it if the counter
+                // Resurrected: drop the token (and re-take it if the counter
                 // fell back to zero under us).
                 lorc = clear_bit_retired(ptr);
                 if (lorc == 0) {
@@ -841,97 +837,33 @@ class OrcDomain {
 #ifdef ORCGC_ORCSAN
                     orcsan::on_resurrect(ptr);
 #endif
-                    break;
+                    continue;
                 }
             }
-            if (try_handover(mh, ptr)) {
-                ++chain;
-                continue;  // ptr is now the swapped-out pointer
-            }
-            const std::uint64_t lorc2 = ptr->_orc.load(std::memory_order_seq_cst);
-            if (lorc2 != lorc) continue;  // _orc moved during the scan: revalidate
-            // Lemma 1: counter zero, token held, no hp found, sequence
-            // unchanged across the scan — safe to destroy.
-            mh.on_free(ptr, /*batched=*/false, retire_age(ptr));
-            destroy(ptr);  // may push cascaded retires into recursive_list
-            break;
+            gen.push_back({ptr, lorc});
         }
-        mh.on_chain(chain);
-    }
-
-    /// Batched form of the Lemma 1 check for one cascade generation
-    /// recursive_list[begin, end), direction-swapped relative to the seed:
-    /// instead of collecting a sorted snapshot of the hps and binary-searching
-    /// each generation member into it, scan_generation sorts the GENERATION
-    /// and, during the single asym::heavy() + hp walk, probes each published
-    /// hp into it. A hit parks the member in the exact handover slot whose hp
-    /// covers it, right there in the walk — the seed paid a fresh full-HP
-    /// retire_one scan (with its own heavy()) per covered member. After the
-    /// walk every member is settled: parked ones are done, pending ones free
-    /// iff _orc (sequence included) is unchanged since the pre-read, the rest
-    /// fall back to the per-object protocol.
-    ///
-    /// Soundness is the seed's argument, unchanged by the direction swap:
-    /// every generation member's retire token was acquired before the walk
-    /// started, so a protection the walk misses was published SC-after it —
-    /// such a reader revalidates against a source link, and the unchanged
-    /// sequence plus zero counter prove no link contained the object at any
-    /// point in the pre-read..re-read window. Parking during the walk is the
-    /// same conservative act try_handover performs: the object keeps its
-    /// token and re-enters the protocol when the slot drains, even if the
-    /// protecting thread released the hp between our read and the exchange
-    /// (the hp_peak bound covers such late parks, exactly as before).
-    void retire_generation_batched(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
-                                   std::size_t end) {
-        scan_generation(mh, t, begin, end);
-        for (std::size_t i = 0; i < t.gen_items.size(); ++i) {
-            settle_item(mh, t.gen_items[i], t.gen_lorc[i], t.gen_state[i]);
-        }
-    }
-
-    /// Phase A of the batched retire: copy the generation out of
-    /// recursive_list into t.gen_* (settling must never index recursive_list
-    /// — it grows, and reallocates, as settling destroys push the next
-    /// generation), pre-read each _orc, sort the items by address, then ONE
-    /// asym::heavy() and one walk over every published hp in the domain.
-    /// Each hp that probes into the generation parks that item in place
-    /// (handover exchange into the covering slot); whatever the exchange
-    /// displaced rejoins OUR cascade as a next-generation member, as in the
-    /// paper's retire loop. A duplicate hit on an already-parked item is
-    /// skipped — one park per item, matching retire_one's semantics.
-    void scan_generation(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
-                         std::size_t end) {
-        telemetry::TraceSpan span(mh.span_ring(), telemetry::SpanKind::kScanGeneration);
-        span.note_items(static_cast<std::uint64_t>(end - begin));
-        auto& items = t.gen_items;
-        auto& lorc = t.gen_lorc;
-        auto& state = t.gen_state;
-        items.clear();
-        lorc.clear();
-        state.clear();
-        t.gen_order.clear();
-        for (std::size_t i = begin; i < end; ++i) {
-            orc_base* ptr = t.recursive_list[i];
-            const std::uint64_t l = ptr->_orc.load(std::memory_order_seq_cst);
-            items.push_back(ptr);
-            lorc.push_back(l);
-            state.push_back(orc::is_zero_retired(l) ? kItemPending : kItemFallback);
-            t.gen_order.push_back(static_cast<std::uint32_t>(i - begin));
-        }
-        std::sort(t.gen_order.begin(), t.gen_order.end(),
-                  [&items](std::uint32_t a, std::uint32_t b) {
-                      return std::less<orc_base*>()(items[a], items[b]);
-                  });
-        // Scan-side half of the asymmetric pair: every generation member's
-        // retire token (a seq_cst RMW on _orc) was taken before this call, so
-        // a publish this fence misses was ordered after it — that reader's
-        // validation re-read (get_protected loop / Lemma 1 sequence check)
-        // then sees the unlink or the moved _orc and cannot rely on the
-        // missed publication.
+        if (gen.empty()) return;  // every member resurrected: nothing to prove
+        std::sort(gen.begin(), gen.end(), [](const GenItem& a, const GenItem& b) {
+            return std::less<orc_base*>()(a.ptr, b.ptr);
+        });
+        // Scan-side half of the asymmetric pair: every member's retire token
+        // (a seq_cst RMW on _orc) was taken before this fence, so a publish
+        // the fence misses was ordered after it — that reader's validation
+        // re-read (get_protected loop / Lemma 1 sequence check) then sees
+        // the unlink or the moved _orc and cannot rely on the missed
+        // publication.
         {
             telemetry::TraceSpan fence(mh.span_ring(), telemetry::SpanKind::kHeavyFence);
             asym::heavy();
         }
+        // Range filter before the binary search: an hp outside the members'
+        // address range [lo, lo + width] cannot cover one, and one unsigned
+        // subtract-compare rejects it — null included, since 0 - lo wraps
+        // above any width. A size-1 generation (width 0) pays one compare
+        // per slot, like Algorithm 6's equality test; the miss is the
+        // overwhelmingly common case, hence [[likely]].
+        const std::uintptr_t lo = reinterpret_cast<std::uintptr_t>(gen.front().ptr);
+        const std::uintptr_t width = reinterpret_cast<std::uintptr_t>(gen.back().ptr) - lo;
         const int nthreads = thread_id_watermark();
         std::size_t slots = 0;
         std::size_t published = 0;
@@ -940,17 +872,15 @@ class OrcDomain {
             const int wm = other.hp_wm.load(std::memory_order_seq_cst);
             for (int idx = 0; idx < wm; ++idx) {
                 orc_base* p = other.hp[idx].load(std::memory_order_seq_cst);
-                if (p == nullptr) continue;
-                ++published;
+                published += p != nullptr;
+                if (reinterpret_cast<std::uintptr_t>(p) - lo > width) [[likely]] continue;
+                // p <= the last member, so the search lands on a member.
                 const auto pos = std::lower_bound(
-                    t.gen_order.begin(), t.gen_order.end(), p,
-                    [&items](std::uint32_t a, orc_base* key) {
-                        return std::less<orc_base*>()(items[a], key);
+                    gen.begin(), gen.end(), p, [](const GenItem& g, orc_base* key) {
+                        return std::less<orc_base*>()(g.ptr, key);
                     });
-                if (pos == t.gen_order.end() || items[*pos] != p) continue;
-                const std::uint32_t i = *pos;
-                if (state[i] != kItemPending) continue;  // parked already / fallback
-                state[i] = kItemParked;
+                if (pos->ptr != p || pos->lorc == kParked) continue;  // no member / parked
+                pos->lorc = kParked;
                 mh.on_handover(p);
                 // The displaced occupant (token held) rejoins our cascade
                 // as a next-generation member.
@@ -964,17 +894,20 @@ class OrcDomain {
         mh.on_snapshot(published, slots);
     }
 
-    /// Settles one walked generation item (parked / free / fallback — see
-    /// the kItem* enum). Cascades the destroy triggers land in the caller's
-    /// recursive_list.
-    void settle_item(OrcMetrics::Hot& mh, orc_base* ptr, std::uint64_t lorc, std::uint8_t st) {
-        if (st == kItemParked) return;
-        if (st == kItemPending && ptr->_orc.load(std::memory_order_seq_cst) == lorc) {
-            mh.on_free(ptr, /*batched=*/true, retire_age(ptr));
-            destroy(ptr);
+    /// Settles one walked generation item. A parked item is no longer ours.
+    /// An unparked one is freed iff its _orc (sequence included) is
+    /// unchanged since the pre-read — Lemma 1: counter zero, token held, no
+    /// hp found. If _orc moved during the walk, the item goes back onto
+    /// recursive_list and the next generation re-walks it. Cascades the
+    /// destroy triggers land in recursive_list too.
+    void settle_item(OrcMetrics::Hot& mh, DomainState& t, const GenItem& item) {
+        if (item.lorc == kParked) return;
+        if (item.ptr->_orc.load(std::memory_order_seq_cst) != item.lorc) {
+            t.recursive_list.push_back(item.ptr);
             return;
         }
-        retire_one(mh, ptr);
+        mh.on_free(item.ptr, retire_age(item.ptr));
+        destroy(item.ptr);
     }
 
     /// The generation loop of retire(). Caller set retire_started and pushed
@@ -985,13 +918,8 @@ class OrcDomain {
         while (begin < t.recursive_list.size()) {
             mh.set_generation(gen++);
             const std::size_t end = t.recursive_list.size();
-            if (end - begin >= kSnapshotMin) {
-                retire_generation_batched(mh, t, begin, end);
-            } else {
-                for (std::size_t i = begin; i < end; ++i) {
-                    retire_one(mh, t.recursive_list[i]);
-                }
-            }
+            scan_generation(mh, t, begin, end);
+            for (const GenItem& item : t.gen) settle_item(mh, t, item);
             begin = end;
         }
         t.recursive_list.clear();
@@ -1016,41 +944,6 @@ class OrcDomain {
             }
         }
 #endif
-    }
-
-    /// Algorithm 6 lines 134–145: scan all published hp entries for `ptr`;
-    /// if found, park it in the paired handover slot and take away whatever
-    /// was parked there before. Each thread's scan is bounded by its own
-    /// published hp_wm instead of a global high-water mark.
-    bool try_handover(OrcMetrics::Hot& mh, orc_base*& ptr) {
-        const int nthreads = thread_id_watermark();
-        std::size_t slots = 0;
-        mh.on_scan_begin(ptr);
-        // Scan-side half of the asymmetric pair (same argument as
-        // take_snapshot): the caller holds ptr's retire token, so a publish
-        // of ptr this fence misses was ordered after the token — and that
-        // reader's validation load / lorc2 revalidation catches it.
-        {
-            telemetry::TraceSpan fence(mh.span_ring(), telemetry::SpanKind::kHeavyFence);
-            asym::heavy();
-        }
-        for (int it = 0; it < nthreads; ++it) {
-            auto& other = tl_[it];
-            const int wm = other.hp_wm.load(std::memory_order_seq_cst);
-            for (int idx = 0; idx < wm; ++idx) {
-                ++slots;
-                if (other.hp[idx].load(std::memory_order_seq_cst) == ptr) {
-                    mh.on_scan_end(ptr, slots);
-                    mh.on_handover(ptr);
-                    // The displaced occupant (token held) is ours to retire
-                    // next: retire_one's loop continues with it.
-                    ptr = other.handovers[idx].exchange(ptr, std::memory_order_seq_cst);
-                    return true;
-                }
-            }
-        }
-        mh.on_scan_end(ptr, slots);
-        return false;
     }
 
     /// Algorithm 6 lines 147–158: drop the retire token because the counter

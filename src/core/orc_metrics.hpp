@@ -2,7 +2,7 @@
 //
 // Every OrcDomain owns one of these (domain->metrics()); the domain's retire
 // machinery calls the on_* hooks at the protocol points the paper's §5
-// evaluates — token takes, hp scans, snapshots, handovers, frees. Hooks fire
+// evaluates — token takes, generation walks, handovers, frees. Hooks fire
 // through a Hot handle that resolves the calling thread's cacheline-padded
 // block once per cascade; each block has exactly one writer, so every
 // increment is a plain relaxed load+store pair (no lock prefix — see
@@ -18,20 +18,18 @@
 //                  decrement_orc CAS successes). NOT one per retire() call:
 //                  handover drains re-enter retire() with an already-counted
 //                  token.
-//   freed_batch    deletes proven by a generation snapshot
-//   freed_slow     deletes proven by a per-object scan
+//   freed_batch    deletes proven by a generation walk (every free)
 //   resurrected    retire tokens dropped because the counter left zero
 //                  (a later decrement re-takes — and re-counts — the token)
-//   scans          per-object try_handover passes
-//   snapshots      full-hp-array snapshots taken
-//   slots_scanned  hp slots loaded by scans + snapshots
+//   snapshots      generation walks (one asym::heavy() + full hp walk each;
+//                  common_counters() exports them as "scans")
+//   slots_scanned  hp slots loaded by the walks
 //   handovers      objects parked on another thread's handover slot
 //   cascades       top-level retire() calls (cascade roots)
 //
 // Histograms (log2 buckets):
 //   retire_latency_gens   cascade generation index at free — how many scan
 //                         generations an object waited from cascade start
-//   handover_chain_len    successful handovers per retire_one invocation
 //   snapshot_hps          published hps captured per snapshot
 //   cascade_slots_scanned hp slots touched per top-level cascade
 //   retire_free_age       coarse_now() ticks from the retire-token CAS that
@@ -39,10 +37,8 @@
 //                         delete — the wall-clock life of one piece of
 //                         garbage. SAMPLED 1-in-64 per retiring thread
 //                         (telemetry::kAgeSampleMask): stamped objects are
-//                         measured at full clock resolution on whichever
-//                         free path settles them (batched walk-park or
-//                         per-object scan), unstamped ones record nothing. Exported with
-//                         p50/p99/p999
+//                         measured at full clock resolution, unstamped ones
+//                         record nothing. Exported with p50/p99/p999
 //
 // peak_unreclaimed is SAMPLED, not exact: a per-node aggregate walk would
 // put kMaxThreads relaxed loads of other threads' lines on the retire path.
@@ -73,9 +69,7 @@ class OrcMetrics final : public telemetry::MetricProvider {
     enum : int {
         kRetired,
         kFreedBatch,
-        kFreedSlow,
         kResurrected,
-        kScans,
         kSnapshots,
         kSlotsScanned,
         kHandovers,
@@ -84,7 +78,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
     };
     enum : int {
         kHistLatencyGens,
-        kHistChainLen,
         kHistSnapshotHps,
         kHistCascadeSlots,
         kHistAge,
@@ -118,9 +111,9 @@ class OrcMetrics final : public telemetry::MetricProvider {
     //
     // A cascade fires several hooks per retired node. The retire machinery
     // takes one Hot handle up front — one thread_id() lookup for the whole
-    // cascade — and drives every hook through it; the standalone on_* members
-    // below re-resolve the block and exist for one-shot call sites (token
-    // CAS, handover drain) where a handle would not amortize.
+    // cascade — and drives every hook through it; the two standalone on_*
+    // members below re-resolve the block and exist for the one-shot call
+    // sites (token CAS, handover drain) where a handle would not amortize.
 
     /// Owner-thread hook handle with the calling thread's block resolved
     /// once. Valid only on the creating thread (blocks are keyed by dense
@@ -146,26 +139,21 @@ class OrcMetrics final : public telemetry::MetricProvider {
             }
         }
 
-        /// `obj` is about to be deleted; `batched` selects the proving path;
-        /// `age` is its retire→free age in coarse_now() ticks, or
-        /// telemetry::kNoAge when the object carried no stamp (ages are
-        /// 1-in-64 sampled — see telemetry::kAgeSampleMask). kNoAge frees
-        /// record nothing: folding them into bucket 0 would crush the
-        /// percentiles toward zero.
-        void on_free(const void* obj, bool batched,
-                     std::uint64_t age = telemetry::kNoAge) noexcept {
+        /// `obj` is about to be deleted; `age` is its retire→free age in
+        /// coarse_now() ticks, or telemetry::kNoAge when the object carried
+        /// no stamp (ages are 1-in-64 sampled — see
+        /// telemetry::kAgeSampleMask). kNoAge frees record nothing: folding
+        /// them into bucket 0 would crush the percentiles toward zero.
+        void on_free(const void* obj, std::uint64_t age) noexcept {
             if constexpr (telemetry::kTelemetryEnabled) {
-                bump(t_->c[batched ? kFreedBatch : kFreedSlow]);
+                bump(t_->c[kFreedBatch]);
                 t_->hist[kHistLatencyGens].record_owner(gen_);
                 if (age != telemetry::kNoAge) {
                     t_->hist[kHistAge].record_owner(age);
                 }
-                if (tracing_) {
-                    t_->trace.record(telemetry::TraceType::kFree, obj, batched ? 1 : 0);
-                }
+                if (tracing_) t_->trace.record(telemetry::TraceType::kFree, obj, 0);
             } else {
                 (void)obj;
-                (void)batched;
                 (void)age;
             }
         }
@@ -177,26 +165,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
             (void)obj;
         }
 
-        void on_scan_begin(const void* obj) noexcept {
-            if constexpr (telemetry::kTelemetryEnabled) {
-                bump(t_->c[kScans]);
-                if (tracing_) t_->trace.record(telemetry::TraceType::kScanBegin, obj, 0);
-            } else {
-                (void)obj;
-            }
-        }
-
-        void on_scan_end(const void* obj, std::uint64_t slots) noexcept {
-            if constexpr (telemetry::kTelemetryEnabled) {
-                bump(t_->c[kSlotsScanned], slots);
-                cascade_slots_ += slots;
-                if (tracing_) t_->trace.record(telemetry::TraceType::kScanEnd, obj, slots);
-            } else {
-                (void)obj;
-                (void)slots;
-            }
-        }
-
         void on_handover(const void* obj) noexcept {
             if constexpr (telemetry::kTelemetryEnabled) {
                 bump(t_->c[kHandovers]);
@@ -206,16 +174,7 @@ class OrcMetrics final : public telemetry::MetricProvider {
             }
         }
 
-        /// Successful handovers performed by one retire_one invocation.
-        void on_chain(std::uint32_t length) noexcept {
-            if constexpr (telemetry::kTelemetryEnabled) {
-                if (length != 0) t_->hist[kHistChainLen].record_owner(length);
-            } else {
-                (void)length;
-            }
-        }
-
-        /// One generation snapshot: `published` hps captured, `slots` loaded.
+        /// One generation walk: `published` hps seen, `slots` loaded.
         void on_snapshot(std::uint64_t published, std::uint64_t slots) noexcept {
             if constexpr (telemetry::kTelemetryEnabled) {
                 bump(t_->c[kSnapshots]);
@@ -309,23 +268,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
             (void)obj;
         }
     }
-    void on_free(const void* obj, bool batched,
-                 std::uint64_t age = telemetry::kNoAge) noexcept {
-        hot().on_free(obj, batched, age);
-    }
-    void on_resurrect(const void* obj) noexcept { hot().on_resurrect(obj); }
-    void on_scan_begin(const void* obj) noexcept { hot().on_scan_begin(obj); }
-    void on_scan_end(const void* obj, std::uint64_t slots) noexcept {
-        hot().on_scan_end(obj, slots);
-    }
-    void on_handover(const void* obj) noexcept { hot().on_handover(obj); }
-    void on_chain(std::uint32_t length) noexcept { hot().on_chain(length); }
-    void on_snapshot(std::uint64_t published, std::uint64_t slots) noexcept {
-        hot().on_snapshot(published, slots);
-    }
-    void on_cascade_begin() noexcept { hot().on_cascade_begin(); }
-    void set_generation(std::uint32_t gen) noexcept { hot().set_generation(gen); }
-    void on_cascade_end() noexcept { hot().on_cascade_end(); }
     void on_drain(const void* obj) noexcept {
         if constexpr (telemetry::kTelemetryEnabled) {
             // Trace-only, fired per drained handover: skip the Hot handle
@@ -353,14 +295,14 @@ class OrcMetrics final : public telemetry::MetricProvider {
     struct Snapshot {
         std::uint64_t retired = 0;
         std::uint64_t freed_batch = 0;
-        std::uint64_t freed_slow = 0;
         std::uint64_t resurrected = 0;
-        std::uint64_t scans = 0;
         std::uint64_t snapshots = 0;
         std::uint64_t slots_scanned = 0;
         std::uint64_t handovers = 0;
         std::uint64_t cascades = 0;
         // Always 0; kept only because perfbench/driver.cpp reads them.
+        std::uint64_t freed_slow = 0;
+        std::uint64_t scans = 0;
         std::uint64_t shard_pushes = 0;
         std::uint64_t items_stolen = 0;
         std::uint64_t bg_wakes = 0;
@@ -369,7 +311,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
         /// quiescence; a mid-cascade read can transiently disagree).
         std::uint64_t unreclaimed = 0;
         telemetry::HistogramSnapshot retire_latency_gens;
-        telemetry::HistogramSnapshot handover_chain_len;
         telemetry::HistogramSnapshot snapshot_hps;
         telemetry::HistogramSnapshot cascade_slots_scanned;
         telemetry::HistogramSnapshot retire_free_age;
@@ -385,20 +326,17 @@ class OrcMetrics final : public telemetry::MetricProvider {
             const ThreadBlock& t = *bp;
             s.retired += t.c[kRetired].load(std::memory_order_relaxed);
             s.freed_batch += t.c[kFreedBatch].load(std::memory_order_relaxed);
-            s.freed_slow += t.c[kFreedSlow].load(std::memory_order_relaxed);
             s.resurrected += t.c[kResurrected].load(std::memory_order_relaxed);
-            s.scans += t.c[kScans].load(std::memory_order_relaxed);
             s.snapshots += t.c[kSnapshots].load(std::memory_order_relaxed);
             s.slots_scanned += t.c[kSlotsScanned].load(std::memory_order_relaxed);
             s.handovers += t.c[kHandovers].load(std::memory_order_relaxed);
             s.cascades += t.c[kCascades].load(std::memory_order_relaxed);
             t.hist[kHistLatencyGens].read_into(s.retire_latency_gens);
-            t.hist[kHistChainLen].read_into(s.handover_chain_len);
             t.hist[kHistSnapshotHps].read_into(s.snapshot_hps);
             t.hist[kHistCascadeSlots].read_into(s.cascade_slots_scanned);
             t.hist[kHistAge].read_into(s.retire_free_age);
         }
-        const std::uint64_t settled = s.freed_batch + s.freed_slow + s.resurrected;
+        const std::uint64_t settled = s.freed_batch + s.resurrected;
         s.unreclaimed = s.retired > settled ? s.retired - settled : 0;
         // An external read is also a peak sample point: fold the current
         // backlog in, then report the max ever observed.
@@ -475,16 +413,15 @@ class OrcMetrics final : public telemetry::MetricProvider {
         const Snapshot s = snapshot();
         telemetry::CommonCounters c;
         c.retired = s.retired;
-        c.freed = s.freed_batch + s.freed_slow;
+        c.freed = s.freed_batch;
         c.peak_unreclaimed = s.peak_unreclaimed;
-        c.scans = s.scans;
+        c.scans = s.snapshots;
         return c;
     }
 
     void visit_extras(telemetry::MetricSink& sink) const override {
         const Snapshot s = snapshot();
         sink.counter("freed_batch", s.freed_batch);
-        sink.counter("freed_slow", s.freed_slow);
         sink.counter("resurrected", s.resurrected);
         sink.counter("snapshots", s.snapshots);
         sink.counter("slots_scanned", s.slots_scanned);
@@ -498,7 +435,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
             sink.gauge("stall_pinned", stall_pinned_->load(std::memory_order_acquire));
         }
         sink.histogram("retire_latency_gens", s.retire_latency_gens);
-        sink.histogram("handover_chain_len", s.handover_chain_len);
         sink.histogram("snapshot_hps", s.snapshot_hps);
         sink.histogram("cascade_slots_scanned", s.cascade_slots_scanned);
         sink.histogram("retire_free_age", s.retire_free_age);
@@ -587,7 +523,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
             const ThreadBlock& t = *bp;
             retired += t.c[kRetired].load(std::memory_order_relaxed);
             settled += t.c[kFreedBatch].load(std::memory_order_relaxed) +
-                       t.c[kFreedSlow].load(std::memory_order_relaxed) +
                        t.c[kResurrected].load(std::memory_order_relaxed);
         }
         if (retired > settled) raise_peak(retired - settled);

@@ -262,17 +262,17 @@ TEST(OrcDomainStats, CountersAreDomainLocal) {
     }
     auto a = std::make_unique<OrcDomain>();
     auto b = std::make_unique<OrcDomain>();
-    a->reset_stats();
-    b->reset_stats();
+    a->metrics().reset();
+    b->metrics().reset();
     for (int i = 0; i < 256; ++i) {
         orc_ptr<Node*> p = make_orc_in<Node>(*a, i);
     }
-    const OrcDomain::RetireStats sa = a->stats();
-    const OrcDomain::RetireStats sb = b->stats();
-    EXPECT_GT(sa.scans + sa.snapshots, 0u) << "churn in A must be visible in A";
-    EXPECT_EQ(sb.scans, 0u) << "A's churn must not leak into B's counters";
-    EXPECT_EQ(sb.snapshots, 0u);
+    const OrcMetrics::Snapshot sa = a->metrics().snapshot();
+    const OrcMetrics::Snapshot sb = b->metrics().snapshot();
+    EXPECT_EQ(sa.snapshots, 256u) << "churn in A must be visible in A: one walk per retire";
+    EXPECT_EQ(sb.snapshots, 0u) << "A's churn must not leak into B's counters";
     EXPECT_EQ(sb.slots_scanned, 0u);
+    EXPECT_EQ(sb.retired, 0u);
     a.reset();
     b.reset();
 }

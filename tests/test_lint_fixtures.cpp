@@ -89,13 +89,6 @@ TEST(OrcLintFixtures, R6FiresOnEngineHeapAllocation) {
     EXPECT_EQ(count_rule(r.output, "R6"), 2) << r.output;
 }
 
-TEST(OrcLintFixtures, R7FiresOnSingletonAccessOutsideCore) {
-    const LintResult r = run_lint(fixture("bad_r7"));
-    EXPECT_EQ(r.exit_code, 1) << r.output;
-    // The direct call and the aliased reference.
-    EXPECT_EQ(count_rule(r.output, "R7"), 2) << r.output;
-}
-
 TEST(OrcLintFixtures, R8FiresOnAdHocAtomicCounters) {
     const LintResult r = run_lint(fixture("bad_r8"));
     EXPECT_EQ(r.exit_code, 1) << r.output;
@@ -176,9 +169,9 @@ TEST(OrcLintFixtures, RepositoryTreeIsClean) {
 }
 
 TEST(OrcLintFixtures, ClientTreesAreClean) {
-    // R7 applies to every tree outside src/core/: tests, benches, and
-    // examples must reach the engine through an OrcDomain, never the
-    // compatibility singleton.
+    // R10 (and the other path-independent rules) applies to every tree
+    // outside src/core/: tests, benches, and examples must never free an
+    // orc_base object behind the domain's back.
     for (const char* dir : {ORC_LINT_TESTS_DIR, ORC_LINT_BENCH_DIR, ORC_LINT_EXAMPLES_DIR}) {
         const LintResult r = run_lint(dir);
         EXPECT_EQ(r.exit_code, 0) << dir << ":\n" << r.output;

@@ -15,7 +15,6 @@
 #include "common/alloc_tracker.hpp"
 #include "common/barrier.hpp"
 #include "common/rng.hpp"
-#include "core/orc_gc.hpp"
 #include "ds/orc/michael_list_orc.hpp"
 
 namespace orcgc {

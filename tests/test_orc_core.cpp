@@ -185,8 +185,13 @@ TEST(OrcLifecycle, ChainCascadesOnRootDrop) {
 TEST(OrcLifecycle, ReinsertionResurrectsRetiredObject) {
     // Obstacle 3 of §2: an object taken out of a structure and re-inserted
     // must not be freed in between, because a local reference still exists.
+    // Deterministic in a private domain: the unlink parks the object on our
+    // own hp, the re-link makes its counter non-zero, and releasing `a`
+    // drains the park into the generation walk's resurrection branch.
     auto& counters = AllocCounters::instance();
     const auto live_before = counters.live_count();
+    OrcDomain dom;
+    ScopedDomain scope(dom);
     orc_atomic<TestNode*> root;
     {
         orc_ptr<TestNode*> a = make_orc<TestNode>(42);
@@ -203,6 +208,12 @@ TEST(OrcLifecycle, ReinsertionResurrectsRetiredObject) {
     check = nullptr;
     root.store(nullptr);
     EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_EQ(dom.object_count(), 0);
+    if (telemetry::kTelemetryEnabled) {
+        const OrcMetrics::Snapshot s = dom.metrics().snapshot();
+        EXPECT_EQ(s.resurrected, 1u);
+        EXPECT_EQ(s.retired, s.freed_batch + s.resurrected);
+    }
 }
 
 // ------------------------------------------------------------------ orc_ptr

@@ -14,7 +14,7 @@
 #include "common/asym_fence.hpp"
 #include "common/barrier.hpp"
 #include "common/thread_registry.hpp"
-#include "core/orc_gc.hpp"
+#include "core/orc_domain.hpp"
 #include "reclamation/reclamation.hpp"
 #include "common/workload.hpp"
 

@@ -1,6 +1,6 @@
 // Targeted coverage for the retire-path machinery: per-thread hp watermarks,
-// the generational batched snapshot path, handover draining under thread
-// churn, and exactly-once destruction through deep recursive cascades.
+// the generational walk-park scan, handover draining under thread churn, and
+// exactly-once destruction through deep recursive cascades.
 // Companions: DESIGN.md "Retire-path complexity" and bench_retire_batch.
 #include <gtest/gtest.h>
 
@@ -81,10 +81,14 @@ TEST(RetireChurn, ShortLivedThreadsLeaveNoParkedHandovers) {
 
 // A long singly linked chain whose head drop cascades one node per
 // generation through recursive_list: every generation has size 1, so this
-// pins the per-object slow path inside the generational loop. Every node
-// must be destroyed exactly once and none may be left behind.
+// pins the size-1 walk (the paper's per-object Algorithm 6 scan) inside the
+// generational loop — one walk per chain node. Every node must be destroyed
+// exactly once and none may be left behind. A private domain keeps the walk
+// count free of other tests' parked handovers.
 TEST(RetireCascade, DeepChainDestroysEveryNodeExactlyOnce) {
     auto& counters = AllocCounters::instance();
+    OrcDomain engine;
+    ScopedDomain scope(engine);
     const auto live_before = counters.live_count();
     const auto doubles_before = counters.double_destroys();
     const int depth = stress_iters(2000);
@@ -105,14 +109,16 @@ TEST(RetireCascade, DeepChainDestroysEveryNodeExactlyOnce) {
         EXPECT_EQ(counters.live_count(), live_before);
     }
     EXPECT_EQ(counters.double_destroys(), doubles_before);
+    if (telemetry::kTelemetryEnabled) {
+        EXPECT_EQ(engine.metrics().snapshot().snapshots, static_cast<std::uint64_t>(depth))
+            << "every chain node is its own size-1 generation: one walk each";
+    }
 }
 
 // A wide fanout cascade: dropping the root retires it (generation 1) and its
-// destructor pushes all children at once (generation 2, batched snapshot
-// path when kChildren >= kSnapshotMin). Exactly-once destruction again.
+// destructor pushes all children at once (generation 2, one shared walk).
+// Exactly-once destruction again.
 TEST(RetireCascade, WideFanoutDestroysEveryNodeExactlyOnce) {
-    static_assert(WideNode::kChildren >= static_cast<int>(OrcDomain::kSnapshotMin),
-                  "fanout must be wide enough to exercise the batched path");
     auto& counters = AllocCounters::instance();
     const auto live_before = counters.live_count();
     const auto doubles_before = counters.double_destroys();
@@ -130,16 +136,16 @@ TEST(RetireCascade, WideFanoutDestroysEveryNodeExactlyOnce) {
 }
 
 // The acceptance bound is checkable directly from the always-on telemetry: a
-// fanout cascade must cost at most 2 full-HP-array snapshots (one per
-// generation large enough to batch; the size-1 root generation scans per
-// object).
+// fanout cascade costs exactly 2 full-HP walks, one per generation (the
+// size-1 root, then all children at once), and every node is freed by a walk.
+// Runs in a private domain so no other test's parked handover can drain in.
 TEST(RetireCascade, FanoutUsesAtMostTwoSnapshotsPerCascade) {
     if (!telemetry::kTelemetryEnabled) {
         GTEST_SKIP() << "snapshot counters compiled out (-DORCGC_TELEMETRY=OFF)";
     }
-    auto& engine = OrcDomain::global();
+    OrcDomain engine;
+    ScopedDomain scope(engine);
     constexpr int kCascades = 64;
-    engine.reset_stats();
     for (int r = 0; r < kCascades; ++r) {
         orc_ptr<WideNode*> root = make_orc<WideNode>();
         for (int i = 0; i < WideNode::kChildren; ++i) {
@@ -148,9 +154,10 @@ TEST(RetireCascade, FanoutUsesAtMostTwoSnapshotsPerCascade) {
         }
         root = nullptr;
     }
-    const OrcDomain::RetireStats s = engine.stats();
-    EXPECT_LE(s.snapshots, static_cast<std::uint64_t>(2 * kCascades));
-    EXPECT_GT(s.batch_frees, 0u) << "fanout children should free via the snapshot path";
+    const OrcMetrics::Snapshot s = engine.metrics().snapshot();
+    EXPECT_EQ(s.snapshots, static_cast<std::uint64_t>(2 * kCascades));
+    EXPECT_EQ(s.freed_batch, s.retired) << "every retired node is freed by a generation walk";
+    EXPECT_EQ(s.retired, static_cast<std::uint64_t>(kCascades * (WideNode::kChildren + 1)));
 }
 
 // Both cascade shapes again, under each safe fence strategy explicitly: the
@@ -186,7 +193,7 @@ TEST(RetireCascade, CascadesAreExactlyOnceUnderBothFenceModes) {
                 orc_ptr<WideNode*> c = make_orc<WideNode>();
                 root->child[i].store(c);
             }
-            root = nullptr;  // batched snapshot path
+            root = nullptr;  // fanout: one walk for all children
             EXPECT_EQ(counters.live_count(), live_before)
                 << "leak under mode " << asym::mode_name(mode);
         }

@@ -352,16 +352,16 @@ TEST(OrcMetricsTest, EveryRetireTokenIsAccountedForAtQuiescence) {
     }
     const OrcMetrics::Snapshot s = domain->metrics().snapshot();
     EXPECT_GT(s.retired, 0u);
-    // Conservation: every token ends as a batch free, a slow free, or a
-    // resurrection — nothing is outstanding once the churn stops.
-    EXPECT_EQ(s.retired, s.freed_batch + s.freed_slow + s.resurrected);
+    // Conservation: every token ends as a free or a resurrection — nothing
+    // is outstanding once the churn stops.
+    EXPECT_EQ(s.retired, s.freed_batch + s.resurrected);
     EXPECT_EQ(s.unreclaimed, 0u);
     EXPECT_GT(s.cascades, 0u);
-    EXPECT_GT(s.scans + s.snapshots, 0u);
+    EXPECT_GT(s.snapshots, 0u);
     // The peak sampler must have caught at least one in-flight object.
     EXPECT_GE(s.peak_unreclaimed, 1u);
     // The latency histogram records one entry per free.
-    EXPECT_EQ(s.retire_latency_gens.count(), s.freed_batch + s.freed_slow);
+    EXPECT_EQ(s.retire_latency_gens.count(), s.freed_batch);
 }
 
 TEST(OrcMetricsTest, RetireFreeAgeSamplesFreesAndExportsPercentiles) {
@@ -378,7 +378,7 @@ TEST(OrcMetricsTest, RetireFreeAgeSamplesFreesAndExportsPercentiles) {
     const std::uint64_t period = telemetry::kAgeSampleMask + 1;
     EXPECT_GE(s.retire_free_age.count(), 1000 / period);
     EXPECT_LE(s.retire_free_age.count(), 1000 / period + 1);
-    EXPECT_LT(s.retire_free_age.count(), s.freed_batch + s.freed_slow);
+    EXPECT_LT(s.retire_free_age.count(), s.freed_batch);
     // p50 <= p99 <= p999 by construction; all finite and within the tick
     // domain (immediate scope-exit frees land in the low buckets).
     const double p50 = s.retire_free_age.percentile(0.5);
@@ -407,8 +407,7 @@ TEST(OrcMetricsTest, ResetZeroesEverything) {
     domain->metrics().reset();
     const OrcMetrics::Snapshot s = domain->metrics().snapshot();
     EXPECT_EQ(s.retired, 0u);
-    EXPECT_EQ(s.freed_batch + s.freed_slow, 0u);
-    EXPECT_EQ(s.scans, 0u);
+    EXPECT_EQ(s.freed_batch, 0u);
     EXPECT_EQ(s.snapshots, 0u);
     EXPECT_EQ(s.cascades, 0u);
     EXPECT_EQ(s.peak_unreclaimed, 0u);
@@ -439,8 +438,7 @@ TEST(OrcMetricsTest, SnapshotAndResetRaceSafelyWithLiveChurn) {
         while (!stop.load(std::memory_order_acquire)) {
             const OrcMetrics::Snapshot s = domain->metrics().snapshot();
             EXPECT_LT(s.retired, kSane) << "torn or runaway retired counter";
-            EXPECT_LT(s.freed_batch + s.freed_slow, kSane)
-                << "torn or runaway free counters";
+            EXPECT_LT(s.freed_batch, kSane) << "torn or runaway free counter";
             EXPECT_LT(s.resurrected, kSane) << "torn or runaway resurrected counter";
             domain->metrics().reset();
         }

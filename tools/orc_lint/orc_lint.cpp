@@ -27,11 +27,6 @@
 //       than make_orc.hpp — retire() runs on every reclamation and must be
 //       allocation-free; scratch state lives in grown-once thread-local
 //       buffers. `delete` stays legal: it IS the reclamation free.
-//   R7  outside src/core/, no direct OrcEngine::instance() — the singleton
-//       is a compatibility façade over OrcDomain::global(); client code that
-//       grabs it bypasses the domain a structure is bound to and silently
-//       pins everything to the global domain. Bind an OrcDomain (or use
-//       OrcDomain::global() explicitly when the global domain is meant).
 //   R8  in src/core/ and src/reclamation/, no ad-hoc std::atomic counters
 //       (integral atomics whose name says count/counter/total/stat/num) —
 //       metrics belong in the telemetry layer (telemetry::PerThreadCounters,
@@ -125,7 +120,6 @@ struct RuleSet {
     bool r4 = true;
     bool r5 = false;  // ds/orc/ only
     bool r6 = false;  // core/ engine files (minus make_orc.hpp)
-    bool r7 = false;  // everywhere except core/ (the façade's own home)
     bool r8 = false;  // core/ and reclamation/ (minus the telemetry layer)
     bool r9a = true;  // everywhere except common/asym_fence.{hpp,cpp}
     bool r9b = false;  // core/ and reclamation/ only
@@ -296,7 +290,6 @@ class FileLinter {
         if (rules_.r4) check_r4();
         if (rules_.r5) check_r5();
         if (rules_.r6) check_r6();
-        if (rules_.r7) check_r7();
         if (rules_.r8) check_r8();
         if (rules_.r9a) check_r9a();
         if (rules_.r9b) check_r9b();
@@ -456,24 +449,6 @@ class FileLinter {
                     }
                 }
             });
-        }
-    }
-
-    // ---- R7: no singleton access outside the core façade ------------------
-
-    void check_r7() {
-        static const char kNeedle[] = "OrcEngine::instance";
-        std::size_t pos = 0;
-        while ((pos = clean_.find(kNeedle, pos)) != std::string::npos) {
-            const std::size_t call = pos;
-            pos += sizeof(kNeedle) - 1;
-            if (call > 0 && (is_ident_char(clean_[call - 1]) || clean_[call - 1] == ':')) {
-                continue;  // qualified differently or part of a longer name
-            }
-            emit("R7", line_of(call),
-                 "direct OrcEngine::instance() outside src/core/ — bind an OrcDomain "
-                 "(OrcDomain::global() when the default domain is meant) instead of "
-                 "the compatibility singleton");
         }
     }
 
@@ -1191,10 +1166,6 @@ RuleSet rules_for_path(const std::string& generic_path) {
     // make_orc.hpp is the engine's single sanctioned allocation site; every
     // other core file is on a retire/protect hot path.
     r.r6 = core && generic_path.find("/make_orc.hpp") == std::string::npos;
-    // The façade itself (and the domain it forwards to) lives in core; every
-    // other tree — library, tests, benches, examples — must go through a
-    // domain.
-    r.r7 = !core;
     // The telemetry layer is where counters are SUPPOSED to live; everywhere
     // else in the engine and the manual schemes, a hand-rolled atomic
     // counter bypasses the registry.
