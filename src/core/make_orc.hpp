@@ -27,6 +27,7 @@ namespace orcgc {
 template <typename T, typename... Args>
 orc_ptr<T*> make_orc_in(OrcDomain& domain, Args&&... args) {
     static_assert(std::is_base_of_v<orc_base, T>, "make_orc<T>: T must extend orc_base");
+    OrcDomain::pace_free();  // release one block a buffer walk freed: reuse it
     T* ptr = new T(std::forward<Args>(args)...);
     orc_base* base = static_cast<orc_base*>(ptr);
     // Tag before the hp publish below: once published (a seq_cst store), the

@@ -51,10 +51,17 @@ class orc_atomic {
     /// Destroying the link removes one hard link from the target; this is
     /// what cascades reclamation when a node is deleted (§4.1: "the
     /// orc_atomic destructor will decrement the orc counter of the object it
-    /// was pointing to"). The decrement runs in the target's own domain.
+    /// was pointing to"). The decrement runs in the target's own domain,
+    /// which then flushes its deferral buffers — a no-op inside a cascade
+    /// (node destructors), so in practice only a dropped root link, such as
+    /// a structure's head, flushes. The domain is read before the
+    /// decrement: the decrement may free the target.
     ~orc_atomic() {
-        T old = link_.load(std::memory_order_relaxed);
-        orc_decrement(to_base(old));
+        orc_base* old = to_base(link_.load(std::memory_order_relaxed));
+        if (old == nullptr) return;
+        OrcDomain& dom = domain_of(old);
+        orc_decrement(old);
+        dom.flush();
     }
 
     // ---- reads -------------------------------------------------------------

@@ -28,7 +28,8 @@
 //     hp_peak     a thread actually uses (see "Retire-path complexity" in
 //                 DESIGN.md),
 //   * the recursion guard that flattens cascading retires (a deleted node's
-//     orc_atomic members decrement — and possibly retire — their targets).
+//     orc_atomic members decrement — and possibly retire — their targets),
+//   * deferred[]  the deferral buffer retires outside a cascade append to.
 //
 // Retire scans have one form, the walk-park generation scan
 // (scan_generation): the cascade *generation* is sorted, then one
@@ -38,6 +39,18 @@
 // objects pushed while a generation is deleted acquire their retire tokens
 // *after* the previous walk, and Lemma 1's scan is only valid when it starts
 // after the token is taken.
+//
+// Deferred retire (DESIGN.md §1.3f/§1.3g): outside a cascade, retire() does
+// not scan. It appends the token-holding object to the thread's deferral
+// buffer, and a full buffer (kRetireBuffer objects) becomes generation 0 of
+// one cascade — one heavy fence and one walk per kRetireBuffer retires
+// instead of one per retire. A walk also adopts the buffers of threads that
+// stopped retiring, so a descheduled thread's buffer cannot keep its objects
+// (and what they still link to) alive. The blocks a buffer walk frees are
+// released one per make_orc_in (pace_free), so each allocation reuses the
+// block just freed. Thread exit, domain destruction, a root link dropped
+// outside a cascade (~orc_atomic) and flush() walk eagerly, adopting every
+// buffer.
 //
 // Destruction protocol (non-global domains; DESIGN.md "Layering and
 // domains"): the destructor unpublishes every hp slot, drains every
@@ -119,6 +132,14 @@ class OrcDomain {
     /// Per-thread hazardous-pointer capacity. Index 0 is reserved scratch;
     /// indices [1, kMaxHPs) are handed to orc_ptr instances.
     static constexpr int kMaxHPs = 64;
+
+    /// R, the deferral-buffer capacity: retire() outside a cascade buffers
+    /// up to R token-holding objects per thread and walks them as one
+    /// generation. Derived, not tuned: with R <= H the buffered garbage stays
+    /// O(H·t) (paper Table 1), and the freed blocks awaiting release stay
+    /// within 2R = kMaxHPs per thread.
+    static constexpr int kRetireBuffer = kMaxHPs / 2;
+    static_assert(detail::PacedFrees::kCapacity == 2 * kRetireBuffer);
 
     /// Stalled-reader watchdog (watchdog_sample): a slot whose heartbeat is
     /// frozen must pin at least this many parked objects before it can be
@@ -346,10 +367,12 @@ class OrcDomain {
     /// validated via the sequence field) holds; otherwise hands it over or
     /// drops the token.
     ///
-    /// Cascades are processed in generations: deleting generation g's objects
-    /// runs destructors whose decrements push generation g+1 into
-    /// recursive_list. Each generation, whatever its size, shares one
-    /// asym::heavy() and one hp walk (scan_generation).
+    /// Outside a cascade the object only joins the calling thread's deferral
+    /// buffer; the buffer is walked once it holds kRetireBuffer objects
+    /// (walk_buffers). Cascades are processed in generations: deleting
+    /// generation g's objects runs destructors whose decrements push
+    /// generation g+1 into recursive_list. Each generation, whatever its
+    /// size, shares one asym::heavy() and one hp walk (scan_generation).
     void retire(orc_base* ptr) {
 #ifdef ORCGC_ORCSAN
         {
@@ -365,12 +388,48 @@ class OrcDomain {
             t.recursive_list.push_back(ptr);
             return;
         }
-        t.retire_started = true;
-        // One thread-block lookup covers every hook the cascade fires.
-        OrcMetrics::Hot mh = metrics_.hot();
-        mh.on_cascade_begin();
-        t.recursive_list.push_back(ptr);
-        run_cascade(mh, t);
+        // Deferral is sound because the caller already holds the token: no
+        // other thread can free or re-retire ptr, and the walk that settles
+        // the buffer — ours or an adopting thread's — starts after a fence
+        // that every buffered token precedes (scan_generation). A
+        // resurrection while buffered is the pre-read's case, as for any
+        // generation member.
+        t.lock_buffer();
+        const int n = t.n_deferred.load(std::memory_order_relaxed);
+        t.deferred[n] = ptr;
+        t.n_deferred.store(n + 1, std::memory_order_relaxed);
+        t.fresh.store(true, std::memory_order_relaxed);
+        t.unlock_buffer();
+        if (n + 1 == kRetireBuffer) walk_buffers(t, /*eager=*/false);
+    }
+
+    /// Walks every thread's deferral buffer in this domain now, as one
+    /// cascade run by the calling thread, and releases the calling thread's
+    /// paced blocks. A no-op inside a cascade — that cascade's own run
+    /// settles whatever the caller unlinked — and when nothing is buffered.
+    /// ~orc_atomic calls it for every link it drops, which is how a
+    /// structure's destructor reclaims everything before it returns.
+    void flush() {
+        auto& t = tl_[thread_id()];
+        if (t.retire_started) return;
+        detail::tl_paced_frees.release_all();
+        const int nthreads = thread_id_watermark();
+        for (int it = 0; it < nthreads; ++it) {
+            if (tl_[it].n_deferred.load(std::memory_order_relaxed) != 0) {
+                walk_buffers(t, /*eager=*/true);
+                return;
+            }
+        }
+    }
+
+    /// make_orc_in's pacing step: releases one block a buffer walk freed on
+    /// this thread, if any, right before the allocation, so the allocation
+    /// reuses it. One branch while nothing is held (every prefill
+    /// allocation). Blocks are raw memory — their objects were destroyed by
+    /// the walk — so this is per thread, not per domain.
+    static void pace_free() noexcept {
+        auto& paced = detail::tl_paced_frees;
+        if (paced.count != 0) paced.release_one();
     }
 
     // ---- telemetry ---------------------------------------------------------
@@ -665,9 +724,31 @@ class OrcDomain {
 #endif
         }
         // Grown-once scratch: capacity is retained across calls, so
-        // steady-state retires never touch the heap.
+        // steady-state retires never touch the heap. An eager walk gives
+        // back what exceeds 2R (trim_scratch).
         std::vector<orc_base*> recursive_list;  // pending cascade generations
         std::vector<GenItem> gen;               // the generation being walked
+        // Deferral buffer: token-holding objects waiting for a buffer walk.
+        // The owner appends; a walking thread adopts it once the owner
+        // stops retiring (walk_buffers). Both hold buf_lock, a test-and-set
+        // lock held for a few stores; the owner takes it once per retire,
+        // uncontended unless an adopter is copying out. `fresh` is set by
+        // every append and cleared by a walker's look, so a walker that
+        // finds it clear knows the owner retired nothing since the previous
+        // look. n_deferred and fresh are also read unlocked, as hints. Own
+        // cache line: walkers must not bounce used_haz.
+        alignas(kCacheLineSize) std::atomic<bool> buf_lock{false};
+        std::atomic<bool> fresh{false};
+        std::atomic<int> n_deferred{0};
+        orc_base* deferred[kRetireBuffer];
+
+        void lock_buffer() noexcept {
+            while (buf_lock.exchange(true, std::memory_order_acquire)) {
+                while (buf_lock.load(std::memory_order_relaxed)) {
+                }
+            }
+        }
+        void unlock_buffer() noexcept { buf_lock.store(false, std::memory_order_release); }
     };
 
     explicit OrcDomain(bool is_global);  // defined below (needs DomainRegistry)
@@ -731,6 +812,11 @@ class OrcDomain {
                 retire(h);
             }
         }
+        // Nothing the exiting thread buffered may outlive it: the drained
+        // objects above joined its deferral buffer, so walk it now (the
+        // thread still owns tid, so tl_[tid] is its own state). Its paced
+        // blocks are released by the registry hook, once for all domains.
+        if (t.n_deferred.load(std::memory_order_relaxed) != 0) walk_buffers(t, /*eager=*/true);
         // Fresh start for the next thread that reuses this tid. hp_peak stays
         // monotonic on purpose: a scanner that read a stale hp just before
         // this drain can still park into one of these handover slots, and the
@@ -910,8 +996,68 @@ class OrcDomain {
         destroy(item.ptr);
     }
 
-    /// The generation loop of retire(). Caller set retire_started and pushed
-    /// generation 0; this drains the cascade and clears the flag.
+    /// A buffer walk: generation 0 is the calling thread's deferral buffer
+    /// plus the buffers it adopts from other threads under their buf_lock,
+    /// and the cascade runs on t's scratch (t is the calling thread's
+    /// state). An eager walk adopts every buffer. A buffer-full walk adopts
+    /// only those whose owner stopped retiring (`fresh` found clear): a
+    /// descheduled or idle thread would otherwise hold up to R-1 objects,
+    /// and every removed node they still link to, for as long as it stays
+    /// off; a running thread keeps its own, so each thread's frees keep
+    /// pace with its own allocations. Adoption is sound for the same
+    /// reason the owner's walk is: each adopted token was taken before the
+    /// owner's unlock, which happens-before our lock and so precedes our
+    /// fence.
+    ///
+    /// A buffer-full walk (`eager` false) first releases the blocks the
+    /// previous walk left, then holds the blocks this one frees for
+    /// make_orc_in (pace_free). An eager walk (thread exit, domain
+    /// destruction, flush()) releases everything at once and trims the
+    /// scratch vectors.
+    void walk_buffers(DomainState& t, bool eager) {
+        auto& paced = detail::tl_paced_frees;
+        paced.release_all();
+        const bool was_active = paced.active;
+        paced.active = !eager;
+        t.retire_started = true;
+        OrcMetrics::Hot mh = metrics_.hot();
+        mh.on_cascade_begin();
+        const int nthreads = thread_id_watermark();
+        for (int it = 0; it < nthreads; ++it) {
+            DomainState& src = tl_[it];
+            if (src.n_deferred.load(std::memory_order_relaxed) == 0) continue;
+            if (!eager && &src != &t && src.fresh.exchange(false, std::memory_order_relaxed)) {
+                continue;  // still retiring: it walks its own buffer
+            }
+            src.lock_buffer();
+            const int n = src.n_deferred.load(std::memory_order_relaxed);
+            t.recursive_list.insert(t.recursive_list.end(), src.deferred, src.deferred + n);
+            src.n_deferred.store(0, std::memory_order_relaxed);
+            src.unlock_buffer();
+        }
+        run_cascade(mh, t);
+        if (eager) trim_scratch(t);
+        paced.active = was_active;
+    }
+
+    /// After an eager walk, gives back scratch capacity past 2R. A
+    /// structure teardown is one cascade over the whole structure (a tree
+    /// level per generation, every generation on recursive_list until the
+    /// cascade ends); steady-state buffer walks stay near R and never trim.
+    static void trim_scratch(DomainState& t) {
+        constexpr std::size_t kKeep = 2 * kRetireBuffer;
+        if (t.recursive_list.capacity() > kKeep) {
+            std::vector<orc_base*>().swap(t.recursive_list);
+            t.recursive_list.reserve(kKeep);
+        }
+        if (t.gen.capacity() > kKeep) {
+            std::vector<GenItem>().swap(t.gen);
+            t.gen.reserve(kKeep);
+        }
+    }
+
+    /// The generation loop. Caller set retire_started and pushed generation
+    /// 0; this drains the cascade and clears the flag.
     void run_cascade(OrcMetrics::Hot& mh, DomainState& t) {
         std::size_t begin = 0;
         std::uint32_t gen = 0;
@@ -1091,16 +1237,26 @@ inline OrcDomain::~OrcDomain() {
         // Process teardown: anything still parked is unreachable by now, and
         // the main thread's registry slot is already gone (thread_locals die
         // before statics), so retire()/thread_id() are off limits. Lenient
-        // full-range sweep, exactly the old singleton behavior.
+        // full-range sweep, exactly the old singleton behavior. Buffered
+        // objects go the same way when their word still reads zero+retired;
+        // one that was resurrected is still linked, so it is left alone.
+        const auto sweep = [](orc_base* ptr) {
+            tsan_acquire_for_delete(ptr);
+#ifdef ORCGC_ORCSAN
+            orcsan::on_untracked_free(ptr);
+#endif
+            delete ptr;
+        };
         for (auto& t : tl_) {
             for (auto& h : t.handovers) {
-                if (orc_base* ptr = h.exchange(nullptr, std::memory_order_acq_rel)) {
-                    tsan_acquire_for_delete(ptr);
-#ifdef ORCGC_ORCSAN
-                    orcsan::on_untracked_free(ptr);
-#endif
-                    delete ptr;
-                }
+                if (orc_base* ptr = h.exchange(nullptr, std::memory_order_acq_rel)) sweep(ptr);
+            }
+            // Pop, not index: a swept destructor's retires may push here.
+            for (int n = t.n_deferred.load(std::memory_order_acquire); n > 0;
+                 n = t.n_deferred.load(std::memory_order_acquire)) {
+                orc_base* const ptr = t.deferred[n - 1];
+                t.n_deferred.store(n - 1, std::memory_order_release);
+                if (orc::is_zero_retired(ptr->_orc.load(std::memory_order_acquire))) sweep(ptr);
             }
         }
 #ifdef ORCGC_ORCSAN
@@ -1140,6 +1296,10 @@ inline OrcDomain::~OrcDomain() {
             }
         }
     }
+    //    Then every thread's deferral buffer, live threads' included: one
+    //    eager buffer walk adopts them all (the drain above may also have
+    //    buffered into ours).
+    walk_buffers(tl_[thread_id()], /*eager=*/true);
     // 3. Quiescence checks: the drain must have converged, and every object
     //    ever allocated into this domain must be gone.
     for (auto& t : tl_) {
@@ -1173,6 +1333,8 @@ inline void DomainRegistry::thread_exit_hook(int tid) {
     // until we are out of every domain's state.
     std::lock_guard<std::mutex> lock(reg.mu_);
     for (OrcDomain* domain : reg.domains_) domain->drain_thread(tid);
+    // The drains walked eagerly; what is left are blocks earlier walks held.
+    tl_paced_frees.release_all();
 }
 
 }  // namespace detail

@@ -19,6 +19,7 @@
 #include "common/workload.hpp"
 #include "core/orc.hpp"
 #include "reclamation/hazard_pointers.hpp"
+#include "deferred_retire.hpp"
 
 namespace orcgc {
 namespace {
@@ -26,6 +27,9 @@ namespace {
 using asym::Mode;
 using asym::testing::resolve;
 using asym::testing::ScopedMode;
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 
 // ------------------------------------------------------------ the resolver
 
@@ -157,7 +161,7 @@ TEST_P(AsymFenceModeParity, ChurnLeavesNoLeaksOrDoubleFrees) {
     ScopedMode scoped(GetParam());
     auto& counters = AllocCounters::instance();
     auto& engine = OrcDomain::global();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count(engine);
     const auto doubles_before = counters.double_destroys();
     {
         orc_atomic<Node*> root;
@@ -188,14 +192,16 @@ TEST_P(AsymFenceModeParity, ChurnLeavesNoLeaksOrDoubleFrees) {
         root.store(nullptr);
     }
     EXPECT_EQ(engine.handover_count(), 0u);
-    EXPECT_EQ(counters.live_count(), live_before);
+    // Exited threads settled their buffers; this thread's last unlink may
+    // still be buffered.
+    EXPECT_TRUE(settles(engine, live_count, live_before));
     EXPECT_EQ(counters.double_destroys(), doubles_before);
 }
 
 TEST_P(AsymFenceModeParity, DeepCascadeDestroysEveryNodeExactlyOnce) {
     ScopedMode scoped(GetParam());
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     const auto doubles_before = counters.double_destroys();
     const int depth = stress_iters(800);
     {
@@ -210,7 +216,9 @@ TEST_P(AsymFenceModeParity, DeepCascadeDestroysEveryNodeExactlyOnce) {
             }
             root.store(head);
         }
-        root.store(nullptr);  // head retires; the chain cascades
+        root.store(nullptr);  // head retires into the deferral buffer
+        EXPECT_EQ(counters.live_count(), live_before + depth);
+        OrcDomain::global().flush();  // the buffer walk: the chain cascades
         EXPECT_EQ(counters.live_count(), live_before);
     }
     EXPECT_EQ(counters.double_destroys(), doubles_before);

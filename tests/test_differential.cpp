@@ -23,10 +23,14 @@
 #include "ds/orc/nm_tree_orc.hpp"
 #include "reclamation/reclamation.hpp"
 #include "common/workload.hpp"
+#include "deferred_retire.hpp"
 
 namespace orcgc {
 namespace {
 
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 using Key = std::uint64_t;
 
 // ------------------------------------------------------- differential sets
@@ -134,7 +138,7 @@ struct XNode : orc_base, TrackedObject {
 
 TEST(OrcExchange, DisplacedValueStaysProtected) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     orc_atomic<XNode*> link;
     {
         orc_ptr<XNode*> a = make_orc<XNode>(1);
@@ -150,9 +154,10 @@ TEST(OrcExchange, DisplacedValueStaysProtected) {
         // returned orc_ptr does.
         EXPECT_EQ(counters.live_count(), live_before + 2);
     }
-    EXPECT_EQ(counters.live_count(), live_before + 1);  // only b remains (linked)
+    // only b remains (linked) once the buffered `old` is settled
+    EXPECT_TRUE(settles(OrcDomain::global(), live_count, live_before + 1));
     link.store(nullptr);
-    EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_TRUE(settles(OrcDomain::global(), live_count, live_before));
 }
 
 TEST(OrcExchange, ExchangeWithNullReturnsEmpty) {

@@ -21,6 +21,7 @@
 #include "core/orc.hpp"
 #include "ds/orc/michael_list_orc.hpp"
 #include "ds/orc/ms_queue_orc.hpp"
+#include "deferred_retire.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define ORCGC_TEST_TSAN 1
@@ -35,6 +36,8 @@
 
 namespace orcgc {
 namespace {
+
+using test_support::settles;
 
 struct Node : orc_base, TrackedObject {
     std::uint64_t value = 0;
@@ -52,16 +55,17 @@ struct AbandonedSlot {
 
 /// Allocates a node in `dom`, links it from `root`, then abandons the
 /// protecting orc_ptr (placement-new; the destructor never runs) so its hp
-/// slot stays published. Unlinking from `root` afterwards retires the node,
-/// and the retire scan — finding the abandoned hp — must PARK it in `dom`'s
-/// handover slot instead of freeing it. Returns the raw node for identity
-/// checks only.
+/// slot stays published. Unlinking from `root` afterwards retires the node
+/// into the deferral buffer, and the flush's walk — finding the abandoned hp
+/// — must PARK it in `dom`'s handover slot instead of freeing it. Returns
+/// the raw node for identity checks only.
 Node* park_one(OrcDomain& dom, orc_atomic<Node*>& root, AbandonedSlot& storage) {
     orc_ptr<Node*> p = make_orc_in<Node>(dom, 42);
     Node* raw = p.get();
     root.store(p);                                     // +1 hard link
     ::new (storage.raw) orc_ptr<Node*>(std::move(p));  // abandon the protection
-    root.store(nullptr);                               // unlink -> retire -> park
+    root.store(nullptr);                               // unlink -> retire (buffered)
+    dom.flush();                                       // walk -> park
     return raw;
 }
 
@@ -78,7 +82,7 @@ TEST(OrcDomainBasics, MakeOrcInTagsAndCounts) {
         EXPECT_EQ(&domain_of(OrcDomain::to_base(p.get())), domain.get());
     }
     // Dropping the only protection with zero hard links reclaims in-domain.
-    EXPECT_EQ(domain->object_count(), 0);
+    EXPECT_TRUE(settles(*domain, [&] { return domain->object_count(); }, 0));
 }
 
 TEST(OrcDomainBasics, MakeOrcDefaultsToAmbientDomain) {
@@ -89,7 +93,7 @@ TEST(OrcDomainBasics, MakeOrcDefaultsToAmbientDomain) {
         EXPECT_EQ(p.domain(), domain.get());
         EXPECT_EQ(domain->object_count(), 1);
     }
-    EXPECT_EQ(domain->object_count(), 0);
+    EXPECT_TRUE(settles(*domain, [&] { return domain->object_count(); }, 0));
 }
 
 TEST(OrcDomainBasics, ScopedDomainNestsAndRestores) {
@@ -127,7 +131,7 @@ TEST(OrcDomainIsolation, RetireChurnInOneDomainNeverFreesAnothersParkedObject) {
         for (int i = 0; i < 5000; ++i) {
             orc_ptr<Node*> p = make_orc_in<Node>(*b, i);
         }
-        EXPECT_EQ(b->object_count(), 0);
+        EXPECT_TRUE(settles(*b, [&] { return b->object_count(); }, 0));
         EXPECT_EQ(a->object_count(), 1);
         EXPECT_EQ(counters.live_count(), live_before + 1);
     }
@@ -269,7 +273,9 @@ TEST(OrcDomainStats, CountersAreDomainLocal) {
     }
     const OrcMetrics::Snapshot sa = a->metrics().snapshot();
     const OrcMetrics::Snapshot sb = b->metrics().snapshot();
-    EXPECT_EQ(sa.snapshots, 256u) << "churn in A must be visible in A: one walk per retire";
+    EXPECT_EQ(sa.retired, 256u);
+    EXPECT_EQ(sa.snapshots, 256u / OrcDomain::kRetireBuffer)
+        << "churn in A must be visible in A: one walk per buffer of R retires";
     EXPECT_EQ(sb.snapshots, 0u) << "A's churn must not leak into B's counters";
     EXPECT_EQ(sb.slots_scanned, 0u);
     EXPECT_EQ(sb.retired, 0u);

@@ -16,17 +16,21 @@
 #include "common/barrier.hpp"
 #include "common/rng.hpp"
 #include "ds/orc/michael_list_orc.hpp"
+#include "deferred_retire.hpp"
 
 namespace orcgc {
 namespace {
 
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 using Key = std::uint64_t;
 
 TEST(OrcBacklog, ExcessCollapsesAtQuiescence) {
     auto& counters = AllocCounters::instance();
     constexpr Key kKeys = 128;
     constexpr int kThreads = 4;
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         MichaelListOrc<Key> list;
         Xoshiro256 prefill(1);
@@ -75,33 +79,44 @@ TEST(OrcBacklog, ExcessCollapsesAtQuiescence) {
         EXPECT_LE(live_now, in_set + parked + 1)
             << "peak excess during churn was " << peak_excess.load();
         // And the peak itself must be bounded: parked slots are capped by
-        // t*maxHPs, everything else is O(t). Allow a generous linear margin.
+        // t*maxHPs, deferral buffers by t*R (DESIGN.md §1.3f), everything
+        // else is O(t). Allow a generous linear margin.
         EXPECT_LT(peak_excess.load(),
-                  static_cast<std::int64_t>(thread_id_watermark()) * OrcDomain::kMaxHPs);
+                  static_cast<std::int64_t>(thread_id_watermark()) *
+                      (OrcDomain::kMaxHPs + OrcDomain::kRetireBuffer));
     }
     EXPECT_EQ(counters.live_count(), live_before);  // full drain on destruction
 }
 
 TEST(OrcBacklog, HandoverPopulationIsDrainedByOwnerActivity) {
-    // A node parked at a busy thread's handover slot must be freed as soon
-    // as that thread cycles its orc_ptrs — not wait for thread exit.
+    // A node parked at a busy thread's handover slot must be handed back to
+    // that thread's retire path as soon as it cycles its orc_ptrs — and be
+    // freed by that thread's next flush, not wait for thread exit.
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     orc_atomic<MichaelListOrc<Key>::Node*> root;
     {
-        orc_ptr<MichaelListOrc<Key>::Node*> node =
-            make_orc<MichaelListOrc<Key>::Node>(Key{1});
-        root.store(node);
+        {
+            // Only the owner may protect the node: a protection of ours
+            // would catch the park instead.
+            orc_ptr<MichaelListOrc<Key>::Node*> node =
+                make_orc<MichaelListOrc<Key>::Node>(Key{1});
+            root.store(node);
+        }
         SpinBarrier ready(2), parked(2), cycled(2);
         std::thread owner([&] {
             orc_ptr<MichaelListOrc<Key>::Node*> mine = root.load();
             ready.arrive_and_wait();
-            parked.arrive_and_wait();  // main retires; node parks on us
+            parked.arrive_and_wait();  // main's walk parked the node on us
             mine = nullptr;            // cycling the orc_ptr drains our slot
+            EXPECT_EQ(OrcDomain::global().handover_count(), 0u);
+            EXPECT_TRUE(settles(OrcDomain::global(), live_count, live_before));
             cycled.arrive_and_wait();
         });
         ready.arrive_and_wait();
-        root.store(nullptr);  // retire; owner protects -> handover parks
+        root.store(nullptr);          // retire (buffered)
+        OrcDomain::global().flush();  // owner protects -> the walk parks it
+        EXPECT_EQ(OrcDomain::global().handover_count(), 1u);
         parked.arrive_and_wait();
         cycled.arrive_and_wait();
         owner.join();

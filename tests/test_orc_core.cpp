@@ -12,9 +12,14 @@
 #include "core/orc.hpp"
 #include "ds/orc/ms_queue_orc.hpp"
 #include "common/workload.hpp"
+#include "deferred_retire.hpp"
 
 namespace orcgc {
 namespace {
+
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 
 // ---------------------------------------------------------------- bit field
 
@@ -69,21 +74,26 @@ std::uint64_t orc_word(const orc_ptr<TestNode*>& p) {
     return p->_orc.load(std::memory_order_relaxed);
 }
 
+/// The global domain's quiescent-point check (deferred_retire.hpp).
+::testing::AssertionResult global_settles(std::int64_t exact) {
+    return settles(OrcDomain::global(), live_count, exact);
+}
+
 TEST(OrcLifecycle, UnlinkedObjectIsFreedWhenLastPtrDies) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         orc_ptr<TestNode*> p = make_orc<TestNode>(7);
         EXPECT_EQ(p->value, 7u);
         EXPECT_EQ(counters.live_count(), live_before + 1);
     }
-    EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_TRUE(global_settles(live_before));
     EXPECT_EQ(counters.double_destroys(), 0);
 }
 
 TEST(OrcLifecycle, HardLinkKeepsObjectAliveAfterLocalRefDies) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     orc_atomic<TestNode*> root;
     {
         orc_ptr<TestNode*> p = make_orc<TestNode>(1);
@@ -92,12 +102,11 @@ TEST(OrcLifecycle, HardLinkKeepsObjectAliveAfterLocalRefDies) {
     }
     EXPECT_EQ(counters.live_count(), live_before + 1);  // held by the hard link
     root.store(nullptr);
-    EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_TRUE(global_settles(live_before));
 }
 
 TEST(OrcLifecycle, StoreDisplacesAndReclaimsOldTarget) {
-    auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     orc_atomic<TestNode*> root;
     {
         orc_ptr<TestNode*> a = make_orc<TestNode>(1);
@@ -106,12 +115,12 @@ TEST(OrcLifecycle, StoreDisplacesAndReclaimsOldTarget) {
     {
         orc_ptr<TestNode*> b = make_orc<TestNode>(2);
         root.store(b);  // displaces a, which now has no refs at all
-        EXPECT_EQ(counters.live_count(), live_before + 1);
+        EXPECT_TRUE(global_settles(live_before + 1));
         orc_ptr<TestNode*> check = root.load();
         EXPECT_EQ(check->value, 2u);
     }
     root.store(nullptr);
-    EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_TRUE(global_settles(live_before));
 }
 
 TEST(OrcLifecycle, CasAdjustsBothCounters) {
@@ -142,7 +151,7 @@ TEST(OrcLifecycle, FailedCasChangesNothing) {
 
 TEST(OrcLifecycle, ExchangeReturnsProtectedOldValue) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     orc_atomic<TestNode*> root;
     {
         orc_ptr<TestNode*> a = make_orc<TestNode>(1);
@@ -155,12 +164,12 @@ TEST(OrcLifecycle, ExchangeReturnsProtectedOldValue) {
         EXPECT_TRUE(old->check_alive());
         EXPECT_EQ(counters.live_count(), live_before + 1);  // kept alive by orc_ptr
     }
-    EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_TRUE(global_settles(live_before));
 }
 
 TEST(OrcLifecycle, ChainCascadesOnRootDrop) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     constexpr int kChain = 1000;  // long enough to catch stack-overflow regressions
     {
         orc_atomic<TestNode*> root;
@@ -175,8 +184,9 @@ TEST(OrcLifecycle, ChainCascadesOnRootDrop) {
             root.store(head);
         }
         EXPECT_EQ(counters.live_count(), live_before + kChain);
-        // root's destructor drops the head; the whole chain must cascade via
-        // the recursion-flattening list, not the program stack.
+        // root's destructor drops the head and flushes; the whole chain
+        // must cascade via the recursion-flattening list, not the program
+        // stack — and be gone before the destructor returns (exact check).
     }
     EXPECT_EQ(counters.live_count(), live_before);
     EXPECT_EQ(counters.double_destroys(), 0);
@@ -185,9 +195,10 @@ TEST(OrcLifecycle, ChainCascadesOnRootDrop) {
 TEST(OrcLifecycle, ReinsertionResurrectsRetiredObject) {
     // Obstacle 3 of §2: an object taken out of a structure and re-inserted
     // must not be freed in between, because a local reference still exists.
-    // Deterministic in a private domain: the unlink parks the object on our
-    // own hp, the re-link makes its counter non-zero, and releasing `a`
-    // drains the park into the generation walk's resurrection branch.
+    // Deterministic in a private domain: the unlink's buffer walk parks the
+    // object on our own hp, the re-link makes its counter non-zero, and
+    // releasing `a` drains the park into the next walk's resurrection
+    // branch (the flushes run those walks at these points).
     auto& counters = AllocCounters::instance();
     const auto live_before = counters.live_count();
     OrcDomain dom;
@@ -196,19 +207,24 @@ TEST(OrcLifecycle, ReinsertionResurrectsRetiredObject) {
     {
         orc_ptr<TestNode*> a = make_orc<TestNode>(42);
         root.store(a);
-        root.store(nullptr);  // unlink: counter drops to zero, retire fires
-        EXPECT_TRUE(a->check_alive());  // but `a` still protects it
+        root.store(nullptr);  // unlink: counter drops to zero, retire buffered
+        dom.flush();          // the walk finds `a`'s hp and parks the object
+        EXPECT_TRUE(a->check_alive());  // `a` still protects it
+        EXPECT_EQ(dom.handover_count(), 1u);
         root.store(a);  // re-insert: the object is resurrected
         EXPECT_EQ(counters.live_count(), live_before + 1);
     }
+    dom.flush();  // the drained park meets the non-zero counter: token dropped
+    EXPECT_EQ(counters.live_count(), live_before + 1);
+    EXPECT_EQ(dom.handover_count(), 0u);
     orc_ptr<TestNode*> check = root.load();
     ASSERT_TRUE(static_cast<bool>(check));
     EXPECT_EQ(check->value, 42u);
     EXPECT_TRUE(check->check_alive());
     check = nullptr;
     root.store(nullptr);
+    EXPECT_TRUE(settles(dom, [&] { return dom.object_count(); }, 0));
     EXPECT_EQ(counters.live_count(), live_before);
-    EXPECT_EQ(dom.object_count(), 0);
     if (telemetry::kTelemetryEnabled) {
         const OrcMetrics::Snapshot s = dom.metrics().snapshot();
         EXPECT_EQ(s.resurrected, 1u);
@@ -310,7 +326,7 @@ TEST(MSQueueOrc, DestructorReclaimsRemainingNodes) {
         int v;
         explicit Item(int x) : v(x) {}
     };
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         MSQueueOrc<std::shared_ptr<Item>> queue;
         for (int i = 0; i < 50; ++i) queue.enqueue(std::make_shared<Item>(i));
@@ -402,7 +418,7 @@ TEST(MSQueueOrc, NoLeaksUnderConcurrentChurn) {
         std::uint64_t v;
         explicit Item(std::uint64_t x) : v(x) {}
     };
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     const auto dead_before = counters.dead_accesses();
     {
         MSQueueOrc<std::shared_ptr<Item>> queue;

@@ -52,7 +52,8 @@ Node* park_one(OrcDomain& dom, orc_atomic<Node*>& root, AbandonedSlot& storage) 
     Node* raw = p.get();
     root.store(p);
     ::new (storage.raw) orc_ptr<Node*>(std::move(p));
-    root.store(nullptr);
+    root.store(nullptr);  // retired into the deferral buffer
+    dom.flush();          // the walk finds the abandoned hp and parks it
     return raw;
 }
 
@@ -136,7 +137,8 @@ TEST(OrcSanDeath, QuarantineWriteIsCaughtAtEviction) {
             {
                 orc_ptr<Node*> p = make_orc_in<Node>(*dom, 5);
                 stale = &p->value;
-            }  // last protection dropped, zero links: destroyed + quarantined
+            }  // last protection dropped, zero links: retired (buffered)
+            dom->flush();  // the buffer walk destroys + quarantines it
             // Use-after-free WRITE through a raw pointer — uninstrumented,
             // invisible to the deref checks. The 0xDD poison it tears is
             // verified when the domain's quarantine flushes.
@@ -156,6 +158,10 @@ TEST(OrcSanShadow, StateFollowsTheObjectLifecycle) {
         base = OrcDomain::to_base(p.get());
         EXPECT_EQ(orcsan::state_of(base), orcsan::State::kLive);
     }
+    // Retired: the token is taken and the object waits in the deferral
+    // buffer until a walk.
+    EXPECT_EQ(orcsan::state_of(base), orcsan::State::kRetired);
+    dom->flush();
     // Reclaimed: under OrcSan the free path diverts into the quarantine, so
     // the shadow entry survives (and the memory stays poisoned, not reused).
     EXPECT_EQ(orcsan::state_of(base), orcsan::State::kQuarantined);
@@ -198,7 +204,10 @@ TEST(OrcSanQuarantine, RingIsBoundedAndFlushedAtDomainDeath) {
     auto dom = std::make_unique<OrcDomain>();
     for (int i = 0; i < 100; ++i) {
         orc_ptr<Node*> p = make_orc_in<Node>(*dom, i);
-    }  // each drop reclaims immediately: 100 quarantine insertions
+    }  // every R-th drop walks the buffer: all but the last partial buffer reclaimed
+    EXPECT_GE(orcsan::stats().quarantined - before.quarantined,
+              static_cast<std::uint64_t>(100 - OrcDomain::kRetireBuffer));
+    dom->flush();  // the rest: 100 quarantine insertions in all
     const orcsan::Stats mid = orcsan::stats();
     EXPECT_EQ(mid.quarantined - before.quarantined, 100u);
     // Bounded ring: whatever is not held is already verified + freed.
@@ -224,7 +233,8 @@ TEST(OrcSanReporting, NonAbortModeCountsViolationsAndContinues) {
         orc_ptr<Node*> p = make_orc_in<Node>(*dom, 1);
         root.store(p);
         dom->protect_ptr(nullptr, p.index());  // the early-clear bug
-        root.store(nullptr);  // unlink: no protection found, so reclaimed
+        root.store(nullptr);  // unlink: retired into the deferral buffer
+        dom->flush();         // the walk finds no protection, so reclaims it
         EXPECT_EQ(orcsan::state_of(OrcDomain::to_base(p.get())),
                   orcsan::State::kQuarantined);
         // Instrumented deref of a quarantined object. operator-> alone runs

@@ -22,9 +22,14 @@
 #include "reclamation/debra.hpp"
 #include "reclamation/hyaline.hpp"
 #include "reclamation/pass_the_pointer.hpp"
+#include "deferred_retire.hpp"
 
 namespace orcgc {
 namespace {
+
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 
 using Key = std::uint64_t;
 
@@ -40,7 +45,7 @@ TEST_P(SetChurnProperty, OrcListKeepsSetSemanticsAndLeaksNothing) {
     const int kOpsEach = stress_iters(2500);
 
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         MichaelListOrc<Key> list;
         std::atomic<std::int64_t> ins[kKeyRange] = {};
@@ -283,7 +288,7 @@ TEST(OrcEngineEdge, DeepOrcPtrNestingStaysWithinIndexBudget) {
 
 TEST(OrcEngineEdge, ObjectParkedAtExitingThreadIsReclaimed) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         orc_atomic<EngNode*> root;
         {
@@ -298,7 +303,9 @@ TEST(OrcEngineEdge, ObjectParkedAtExitingThreadIsReclaimed) {
             // mine drops here; then the thread exits and its slots drain
         });
         holding.arrive_and_wait();
-        root.store(nullptr);  // retire -> handover parks at the holder
+        root.store(nullptr);          // retire (buffered)
+        OrcDomain::global().flush();  // the walk parks it at the holder
+        EXPECT_EQ(OrcDomain::global().handover_count(), 1u);
         released.arrive_and_wait();
         holder.join();
     }
@@ -307,33 +314,33 @@ TEST(OrcEngineEdge, ObjectParkedAtExitingThreadIsReclaimed) {
 }
 
 TEST(OrcEngineEdge, ExceptionSafetyNoLeakOnThrowingUse) {
-    auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     try {
         orc_ptr<EngNode*> node = make_orc<EngNode>();
         throw std::runtime_error("boom");
     } catch (const std::runtime_error&) {
     }
-    EXPECT_EQ(counters.live_count(), live_before);  // RAII released + retired
+    // RAII released + retired (buffered until the flush)
+    EXPECT_TRUE(settles(OrcDomain::global(), live_count, live_before));
 }
 
 TEST(OrcEngineEdge, SelfReferencingNodeIsNotLeakedWhenBroken) {
     // Cycles must be broken before becoming unreachable (§4 requirement);
     // breaking the self-link makes the node collectable.
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         orc_ptr<EngNode*> node = make_orc<EngNode>();
         node->next.store(node);              // self-cycle: _orc = 1
         EXPECT_EQ(counters.live_count(), live_before + 1);
         node->next.store(nullptr);           // break the cycle
     }
-    EXPECT_EQ(counters.live_count(), live_before);
+    EXPECT_TRUE(settles(OrcDomain::global(), live_count, live_before));
 }
 
 TEST(OrcEngineEdge, LongChainTeardownDoesNotOverflowStack) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     constexpr int kChain = 200000;  // would blow the stack if retire recursed
     {
         orc_atomic<EngNode*> root;
@@ -347,7 +354,7 @@ TEST(OrcEngineEdge, LongChainTeardownDoesNotOverflowStack) {
             }
             root.store(head);
         }
-    }
+    }  // root's destructor drops the head and flushes: the chain is gone
     EXPECT_EQ(counters.live_count(), live_before);
 }
 

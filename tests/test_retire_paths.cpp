@@ -1,11 +1,13 @@
 // Targeted coverage for the retire-path machinery: per-thread hp watermarks,
-// the generational walk-park scan, handover draining under thread churn, and
-// exactly-once destruction through deep recursive cascades.
+// the generational walk-park scan, handover draining under thread churn,
+// exactly-once destruction through deep recursive cascades, and the
+// deferral buffer's flush points (DESIGN.md §1.3f).
 // Companions: DESIGN.md "Retire-path complexity" and bench_retire_batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,9 +17,15 @@
 #include "common/rng.hpp"
 #include "common/workload.hpp"
 #include "core/orc.hpp"
+#include "deferred_retire.hpp"
+#include "ds/orc/michael_list_orc.hpp"
 
 namespace orcgc {
 namespace {
+
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 
 struct Node : orc_base, TrackedObject {
     std::uint64_t value;
@@ -39,7 +47,7 @@ struct WideNode : orc_base, TrackedObject {
 TEST(RetireChurn, ShortLivedThreadsLeaveNoParkedHandovers) {
     auto& counters = AllocCounters::instance();
     auto& engine = OrcDomain::global();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count(engine);
     const auto doubles_before = counters.double_destroys();
     {
         orc_atomic<Node*> root;
@@ -73,7 +81,9 @@ TEST(RetireChurn, ShortLivedThreadsLeaveNoParkedHandovers) {
     }
     EXPECT_EQ(engine.handover_count(), 0u)
         << "exited threads left objects parked in handover slots";
-    EXPECT_EQ(counters.live_count(), live_before);
+    // Exited threads settled their own buffers; only this thread's last
+    // unlink may still be buffered.
+    EXPECT_TRUE(settles(engine, live_count, live_before));
     EXPECT_EQ(counters.double_destroys(), doubles_before);
 }
 
@@ -84,7 +94,8 @@ TEST(RetireChurn, ShortLivedThreadsLeaveNoParkedHandovers) {
 // pins the size-1 walk (the paper's per-object Algorithm 6 scan) inside the
 // generational loop — one walk per chain node. Every node must be destroyed
 // exactly once and none may be left behind. A private domain keeps the walk
-// count free of other tests' parked handovers.
+// count free of other tests' parked handovers. The head's retire is
+// buffered, so the chain stays whole until flush() walks the buffer.
 TEST(RetireCascade, DeepChainDestroysEveryNodeExactlyOnce) {
     auto& counters = AllocCounters::instance();
     OrcDomain engine;
@@ -105,7 +116,9 @@ TEST(RetireCascade, DeepChainDestroysEveryNodeExactlyOnce) {
             root.store(head);
             EXPECT_EQ(counters.live_count(), live_before + depth);
         }
-        root.store(nullptr);  // head retires; the chain cascades
+        root.store(nullptr);  // head retires into the deferral buffer
+        EXPECT_EQ(counters.live_count(), live_before + depth) << "a buffered retire frees nothing";
+        engine.flush();  // the buffer walk: the chain cascades
         EXPECT_EQ(counters.live_count(), live_before);
     }
     EXPECT_EQ(counters.double_destroys(), doubles_before);
@@ -117,10 +130,12 @@ TEST(RetireCascade, DeepChainDestroysEveryNodeExactlyOnce) {
 
 // A wide fanout cascade: dropping the root retires it (generation 1) and its
 // destructor pushes all children at once (generation 2, one shared walk).
-// Exactly-once destruction again.
+// Exactly-once destruction again. The root's retire is buffered until the
+// flush.
 TEST(RetireCascade, WideFanoutDestroysEveryNodeExactlyOnce) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    auto& engine = OrcDomain::global();
+    const auto live_before = settled_live_count(engine);
     const auto doubles_before = counters.double_destroys();
     const int reps = stress_iters(50);
     for (int r = 0; r < reps; ++r) {
@@ -129,7 +144,9 @@ TEST(RetireCascade, WideFanoutDestroysEveryNodeExactlyOnce) {
             orc_ptr<WideNode*> c = make_orc<WideNode>();
             root->child[i].store(c);
         }
-        root = nullptr;  // two generations: root, then all children at once
+        root = nullptr;  // the root joins the deferral buffer
+        EXPECT_EQ(counters.live_count(), live_before + 1 + WideNode::kChildren);
+        engine.flush();  // two generations: root, then all children at once
         EXPECT_EQ(counters.live_count(), live_before);
     }
     EXPECT_EQ(counters.double_destroys(), doubles_before);
@@ -139,6 +156,7 @@ TEST(RetireCascade, WideFanoutDestroysEveryNodeExactlyOnce) {
 // fanout cascade costs exactly 2 full-HP walks, one per generation (the
 // size-1 root, then all children at once), and every node is freed by a walk.
 // Runs in a private domain so no other test's parked handover can drain in.
+// Each cascade is settled by flush(); buffered retires walk nothing.
 TEST(RetireCascade, FanoutUsesAtMostTwoSnapshotsPerCascade) {
     if (!telemetry::kTelemetryEnabled) {
         GTEST_SKIP() << "snapshot counters compiled out (-DORCGC_TELEMETRY=OFF)";
@@ -153,6 +171,8 @@ TEST(RetireCascade, FanoutUsesAtMostTwoSnapshotsPerCascade) {
             root->child[i].store(c);
         }
         root = nullptr;
+        EXPECT_EQ(engine.metrics().snapshot().snapshots, static_cast<std::uint64_t>(2 * r));
+        engine.flush();
     }
     const OrcMetrics::Snapshot s = engine.metrics().snapshot();
     EXPECT_EQ(s.snapshots, static_cast<std::uint64_t>(2 * kCascades));
@@ -166,9 +186,10 @@ TEST(RetireCascade, FanoutUsesAtMostTwoSnapshotsPerCascade) {
 // leg additionally reruns this whole suite with ORC_ASYM_FENCE=fence.)
 TEST(RetireCascade, CascadesAreExactlyOnceUnderBothFenceModes) {
     auto& counters = AllocCounters::instance();
+    auto& engine = OrcDomain::global();
     for (const asym::Mode mode : {asym::Mode::kMembarrier, asym::Mode::kFence}) {
         asym::testing::ScopedMode scoped(mode);
-        const auto live_before = counters.live_count();
+        const auto live_before = settled_live_count(engine);
         const auto doubles_before = counters.double_destroys();
         const int depth = stress_iters(500);
         {
@@ -184,6 +205,8 @@ TEST(RetireCascade, CascadesAreExactlyOnceUnderBothFenceModes) {
                 root.store(head);
             }
             root.store(nullptr);
+            EXPECT_EQ(counters.live_count(), live_before + depth);  // head buffered
+            engine.flush();
             EXPECT_EQ(counters.live_count(), live_before)
                 << "leak under mode " << asym::mode_name(mode);
         }
@@ -193,7 +216,9 @@ TEST(RetireCascade, CascadesAreExactlyOnceUnderBothFenceModes) {
                 orc_ptr<WideNode*> c = make_orc<WideNode>();
                 root->child[i].store(c);
             }
-            root = nullptr;  // fanout: one walk for all children
+            root = nullptr;  // buffered; at the flush, one walk for all children
+            EXPECT_EQ(counters.live_count(), live_before + 1 + WideNode::kChildren);
+            engine.flush();
             EXPECT_EQ(counters.live_count(), live_before)
                 << "leak under mode " << asym::mode_name(mode);
         }
@@ -246,6 +271,158 @@ TEST(Watermark, IntrospectionAgreesOnBounds) {
     }
     EXPECT_EQ(engine.used_idx_count(), 0);
     EXPECT_LE(engine.hp_watermark_self(), 2);
+}
+
+// ------------------------------------------------------ deferral buffer
+
+/// Spin-waits (test-only) until `flag` is set.
+void await_flag(const std::atomic<bool>& flag) {
+    while (!flag.load(std::memory_order_acquire)) std::this_thread::yield();
+}
+
+// The amortization itself: R root retires on one thread cost exactly one
+// heavy fence and one walk, issued by the R-th retire; the first R-1 only
+// buffer. A private domain and a single thread keep both counts exact.
+TEST(DeferralBuffer, OneHeavyFenceAndOneWalkPerRRetires) {
+    OrcDomain dom;
+    constexpr int kR = OrcDomain::kRetireBuffer;
+    constexpr int kBuffers = 3;
+    const std::uint64_t heavy0 = asym::heavy_fences();
+    for (int b = 0; b < kBuffers; ++b) {
+        for (int i = 0; i < kR; ++i) {
+            orc_ptr<Node*> p = make_orc_in<Node>(dom, i);
+            p = nullptr;  // zero links: retired into the buffer
+            const std::uint64_t walks = i + 1 == kR ? b + 1 : b;
+            EXPECT_EQ(asym::heavy_fences() - heavy0, walks) << "buffer " << b << " retire " << i;
+            if (telemetry::kTelemetryEnabled) {
+                EXPECT_EQ(dom.metrics().snapshot().snapshots, walks);
+            }
+        }
+        EXPECT_EQ(dom.object_count(), 0) << "the R-th retire walked and freed the whole buffer";
+    }
+}
+
+// A thread that exits with a partly filled buffer settles it in the exit
+// drain: nothing it retired outlives it.
+TEST(DeferralBuffer, ExitingThreadSettlesItsBuffer) {
+    auto& counters = AllocCounters::instance();
+    const auto doubles_before = counters.double_destroys();
+    OrcDomain dom;
+    std::thread worker([&] {
+        for (int i = 0; i < OrcDomain::kRetireBuffer / 2; ++i) {
+            orc_ptr<Node*> p = make_orc_in<Node>(dom, i);
+        }
+        EXPECT_EQ(dom.object_count(), OrcDomain::kRetireBuffer / 2) << "all still buffered";
+    });
+    worker.join();
+    EXPECT_EQ(dom.object_count(), 0);
+    EXPECT_EQ(counters.double_destroys(), doubles_before);
+}
+
+// Destroying a domain walks every thread's buffer, a live thread's included
+// (the destructor's precondition only forbids concurrent use): no fatal(),
+// and every buffered object is freed.
+TEST(DeferralBuffer, DomainDestructionSettlesALiveThreadsBuffer) {
+    const auto live_before = settled_live_count();
+    auto dom = std::make_unique<OrcDomain>();
+    std::atomic<bool> buffered{false};
+    std::atomic<bool> destroyed{false};
+    std::thread worker([&] {
+        for (int i = 0; i < OrcDomain::kRetireBuffer - 1; ++i) {
+            orc_ptr<Node*> p = make_orc_in<Node>(*dom, i);
+        }
+        buffered.store(true, std::memory_order_release);
+        await_flag(destroyed);  // stays alive, buffer untouched, while the domain dies
+    });
+    await_flag(buffered);
+    EXPECT_EQ(dom->object_count(), OrcDomain::kRetireBuffer - 1);
+    dom.reset();  // would fatal() on any object left over
+    EXPECT_EQ(live_count(), live_before);
+    destroyed.store(true, std::memory_order_release);
+    worker.join();
+}
+
+// perfbench's teardown shape: removes leave retired nodes in the buffer, then
+// the structure's destructor runs. Its head link's ~orc_atomic flushes, so
+// the domain is back to its baseline the moment the destructor returns.
+TEST(DeferralBuffer, StructureDestructorFlushesTheBuffer) {
+    OrcDomain dom;
+    const std::int64_t baseline = dom.object_count();
+    {
+        MichaelListOrc<std::uint64_t> list(&dom);
+        for (std::uint64_t k = 0; k < 64; ++k) EXPECT_TRUE(list.insert(k));
+        for (std::uint64_t k = 0; k < 8; ++k) EXPECT_TRUE(list.remove(k));
+        // 8 < R removed nodes sit in the buffer, still counted.
+        EXPECT_GT(dom.object_count(), baseline + 56);
+    }
+    EXPECT_EQ(dom.object_count(), baseline);
+}
+
+// A thread that stops retiring with a partly filled buffer does not keep it
+// (and what it links to) alive: a buffer walk that finds the owner retired
+// nothing since the previous walk's look adopts it. The first walk only
+// looks — a running thread walks its own buffer — and the second adopts.
+TEST(DeferralBuffer, BufferWalkAdoptsAStalledThreadsBuffer) {
+    OrcDomain dom;
+    constexpr int kR = OrcDomain::kRetireBuffer;
+    constexpr int kStalled = 5;
+    std::atomic<bool> buffered{false};
+    std::atomic<bool> done{false};
+    std::thread stalled([&] {
+        for (int i = 0; i < kStalled; ++i) {
+            orc_ptr<Node*> p = make_orc_in<Node>(dom, i);
+        }
+        buffered.store(true, std::memory_order_release);
+        await_flag(done);
+    });
+    await_flag(buffered);
+    for (int i = 0; i < kR; ++i) {
+        orc_ptr<Node*> p = make_orc_in<Node>(dom, i);
+    }
+    EXPECT_EQ(dom.object_count(), kStalled) << "first walk: the owner had just retired";
+    for (int i = 0; i < kR; ++i) {
+        orc_ptr<Node*> p = make_orc_in<Node>(dom, i);
+    }
+    EXPECT_EQ(dom.object_count(), 0) << "second walk: the stalled buffer was adopted";
+    done.store(true, std::memory_order_release);
+    stalled.join();
+}
+
+// Resurrection while buffered: the object is re-linked between its retire
+// and the walk. The walk's pre-read sees the counter off zero and drops the
+// token; the object survives intact, and the next unlink retires it afresh
+// and frees it exactly once.
+TEST(DeferralBuffer, ObjectRelinkedBeforeTheWalkSurvivesAndIsFreedOnce) {
+    auto& counters = AllocCounters::instance();
+    const auto doubles_before = counters.double_destroys();
+    OrcDomain dom;
+    ScopedDomain scope(dom);
+    orc_atomic<Node*> root;
+    {
+        orc_ptr<Node*> a = make_orc<Node>(7);
+        root.store(a);
+        root.store(nullptr);  // zero links: token taken, object buffered
+        root.store(a);        // re-linked while still buffered
+    }
+    dom.flush();  // the walk drops the token instead of freeing
+    EXPECT_EQ(dom.object_count(), 1);
+    {
+        orc_ptr<Node*> check = root.load();
+        ASSERT_TRUE(static_cast<bool>(check));
+        EXPECT_TRUE(check->check_alive());
+        EXPECT_EQ(check->value, 7u);
+        EXPECT_FALSE(orc::is_zero_retired(check->_orc.load(std::memory_order_relaxed)));
+    }
+    root.store(nullptr);  // retired afresh
+    dom.flush();
+    EXPECT_EQ(dom.object_count(), 0);
+    EXPECT_EQ(counters.double_destroys(), doubles_before);
+    if (telemetry::kTelemetryEnabled) {
+        const OrcMetrics::Snapshot s = dom.metrics().snapshot();
+        EXPECT_EQ(s.resurrected, 1u);
+        EXPECT_EQ(s.freed_batch, 1u);
+        EXPECT_EQ(s.retired, s.freed_batch + s.resurrected);
+    }
 }
 
 }  // namespace

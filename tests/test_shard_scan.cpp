@@ -17,7 +17,9 @@
 // (get_new_idx / protect_ptr / release_idx — the same calls orc_ptr makes):
 // republishing a new pointer on a held index without releasing it is
 // exactly what get_protected's retry loop does, and leaves the previous
-// park in the handover slot for the next park to displace.
+// park in the handover slot for the next park to displace. A retire outside
+// a cascade is only buffered (DESIGN.md §1.3f), so each one is followed by
+// flush(), which runs its walk at that point.
 // Companions: test_retire_paths (watermarks, deep cascades) and
 // bench_shard_scan.
 #include <gtest/gtest.h>
@@ -79,17 +81,20 @@ TEST(RetireHandover, DisplacedOccupantIsRescannedByTheDisplacingThread) {
     });
 
     await(phase, 1);
-    px = nullptr;  // retire X: the scan finds the reader's hp and parks X
+    px = nullptr;  // retire X: buffered, nothing walked yet
+    EXPECT_EQ(dom->handover_count(), 0u);
+    dom->flush();  // the walk finds the reader's hp and parks X
     EXPECT_EQ(dom->handover_count(), 1u);
     EXPECT_EQ(dom->object_count(), 2);
     advance(phase);  // 2
     await(phase, 3);
-    py = nullptr;  // retire Y: parks Y and displaces X, which we re-scan
+    py = nullptr;  // retire Y (buffered)
+    dom->flush();  // parks Y and displaces X, which we re-scan
     EXPECT_EQ(dom->handover_count(), 1u) << "only Y may be parked";
     EXPECT_EQ(dom->object_count(), 1) << "X is unprotected: its re-scan frees it";
     advance(phase);  // 4
     await(phase, 5);
-    reader.join();
+    reader.join();  // the reader's drained Y was settled by its exit
 
     EXPECT_EQ(dom->handover_count(), 0u);
     EXPECT_EQ(dom->object_count(), 0);
@@ -120,11 +125,14 @@ TEST(RetireHandover, ThreadChurnWithDisplacementLeavesNothingParked) {
             // The exit hook must unpublish and drain both.
         });
         await(phase, 1);
-        px = nullptr;  // park X at the worker
+        px = nullptr;
+        dom->flush();  // park X at the worker
         advance(phase);
         await(phase, 3);
-        py = nullptr;  // park Y, displace X back to us (freed by the re-scan)
+        py = nullptr;
+        dom->flush();  // park Y, displace X back to us (freed by the re-scan)
         EXPECT_EQ(dom->handover_count(), 1u) << "churn round " << i;
+        EXPECT_EQ(dom->object_count(), 1) << "churn round " << i;
         advance(phase);
         worker.join();  // exit hook: unpublish, drain the handover
         EXPECT_EQ(dom->handover_count(), 0u) << "churn round " << i;

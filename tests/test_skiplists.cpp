@@ -15,10 +15,14 @@
 #include "ds/orc/crf_skiplist_orc.hpp"
 #include "ds/orc/hs_skiplist_orc.hpp"
 #include "common/workload.hpp"
+#include "deferred_retire.hpp"
 
 namespace orcgc {
 namespace {
 
+using test_support::live_count;
+using test_support::settled_live_count;
+using test_support::settles;
 using Key = std::uint64_t;
 
 template <typename SkipListT>
@@ -86,7 +90,7 @@ TYPED_TEST(SkipListTest, ManySequentialKeys) {
 
 TYPED_TEST(SkipListTest, NoLeaksAfterChurnAndDestruction) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         TypeParam sl;
         Xoshiro256 rng(31337);
@@ -195,7 +199,7 @@ TYPED_TEST(SkipListTest, ReinsertionChurnSingleKey) {
 
 TYPED_TEST(SkipListTest, NoLeaksUnderConcurrentChurn) {
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         TypeParam sl;
         constexpr int kThreads = 4;
@@ -233,16 +237,17 @@ TEST(CRFSkipList, PoisonValueIsInert) {
 
 TEST(CRFSkipList, SequentialRemovalReclaimsImmediately) {
     // With CRF, once remove() returns (single-threaded), the victim has been
-    // detached and poisoned, so nothing should stay behind: live count after
-    // insert+remove of N keys equals the empty-structure baseline.
+    // detached and poisoned, so nothing but this thread's deferral buffers
+    // may hold it: live count after insert+remove of N keys settles to the
+    // empty-structure baseline.
     auto& counters = AllocCounters::instance();
-    const auto live_before = counters.live_count();
+    const auto live_before = settled_live_count();
     {
         CRFSkipListOrc<Key> sl;
         const auto live_empty = counters.live_count();
         for (Key k = 0; k < 200; ++k) ASSERT_TRUE(sl.insert(k));
         for (Key k = 0; k < 200; ++k) ASSERT_TRUE(sl.remove(k));
-        EXPECT_EQ(counters.live_count(), live_empty);  // zero stragglers
+        EXPECT_TRUE(settles(OrcDomain::global(), live_count, live_empty));  // zero stragglers
     }
     EXPECT_EQ(counters.live_count(), live_before);
 }

@@ -350,10 +350,15 @@ TEST(OrcMetricsTest, EveryRetireTokenIsAccountedForAtQuiescence) {
     for (int i = 0; i < 1000; ++i) {
         orc_ptr<Node*> p = make_orc_in<Node>(*domain, i);
     }
+    // Once the churn stops, at most the deferral buffer is outstanding
+    // (DESIGN.md §1.3f); flush() walks it.
+    EXPECT_LE(domain->metrics().snapshot().unreclaimed,
+              static_cast<std::uint64_t>(OrcDomain::kRetireBuffer));
+    domain->flush();
     const OrcMetrics::Snapshot s = domain->metrics().snapshot();
     EXPECT_GT(s.retired, 0u);
     // Conservation: every token ends as a free or a resurrection — nothing
-    // is outstanding once the churn stops.
+    // is outstanding after the flush.
     EXPECT_EQ(s.retired, s.freed_batch + s.resurrected);
     EXPECT_EQ(s.unreclaimed, 0u);
     EXPECT_GT(s.cascades, 0u);

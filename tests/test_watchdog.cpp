@@ -21,9 +21,9 @@
 // a descheduled thread: what the sampler sees frozen is the published-hp
 // fingerprint and the slot-transition heartbeat, and both only move when the
 // reader touches its protection set, not because of how the thread is
-// parked). Retires run synchronously on the main thread, so every park is
-// visible before the next sample; no sleeps, no schedule dependence — the
-// ASan/TSan legs run this unchanged.
+// parked). Retires are walked synchronously on the main thread (flush()),
+// so every park is visible before the next sample; no sleeps, no schedule
+// dependence — the ASan/TSan legs run this unchanged.
 
 #include <gtest/gtest.h>
 
@@ -83,17 +83,21 @@ TEST(StalledReaderWatchdogTest, FlagsAStalledReaderPinningGrowingGarbage) {
     EXPECT_FALSE(domain->stall_suspect(tid));
     EXPECT_EQ(domain->stall_suspects(), 0u);
 
-    // Each drop retires a node the reader protects; the retire scan parks it
-    // against the reader's slot synchronously, before the next sample.
+    // Each drop retires a node the reader protects; the flush's buffer walk
+    // parks it against the reader's slot synchronously, before the next
+    // sample.
     n1 = nullptr;
+    domain->flush();
     domain->watchdog_sample();  // pinned=1 < kStallPinnedMin: still silent
     EXPECT_FALSE(domain->stall_suspect(tid));
 
     n2 = nullptr;
+    domain->flush();
     domain->watchdog_sample();  // pinned=2, first qualifying sample (streak 1)
     EXPECT_FALSE(domain->stall_suspect(tid)) << "one qualifying sample must not flag";
 
     n3 = nullptr;
+    domain->flush();
     domain->watchdog_sample();  // pinned=3, streak 2: flagged
     EXPECT_TRUE(domain->stall_suspect(tid));
     EXPECT_EQ(domain->stall_suspects(), 1u);
