@@ -9,10 +9,11 @@
 // nodes alive beyond the key-range capacity of the set — i.e. unlinked nodes
 // not yet handed back to the allocator. That peak is a gate: the process
 // exits non-zero if, at any thread count t, the median over ORC_BENCH_RUNS
-// runs exceeds kMaxHPs·t — the paper's O(H·t) class with the constant the
-// deferral buffers allow (2R = kMaxHPs per thread; DESIGN.md §1.3f). The
-// median keeps one run's host-preemption tail from deciding it; every run's
-// peak is printed.
+// runs exceeds kMaxHPs·t. Retired objects stay within that (at most R - 1
+// buffered and H parked per thread), but the peak also counts the removed
+// nodes that buffered ones still link to, and that chain garbage depends on
+// the workload (DESIGN.md §1.3f, "Bounds"). The median keeps one run's
+// host-preemption tail from deciding it; every run's peak is printed.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>

@@ -26,51 +26,6 @@ namespace orcgc {
 
 class OrcDomain;  // the reclamation domain an object is tagged with (orc_domain.hpp)
 
-namespace detail {
-
-/// Freed-memory pacing (DESIGN.md §1.3f). A buffer walk frees dozens of
-/// objects at once; released in one burst, they overflow the allocator's
-/// small per-thread cache, and the overflow goes back to the arena that
-/// first allocated each block — for a structure built by another thread,
-/// an arena this thread never allocates from. So while a buffer walk runs
-/// (`active`), orc_base's operator delete keeps the blocks here instead, and
-/// make_orc_in releases one right before each allocation, which then reuses
-/// it. Only raw memory waits: every destructor has already run.
-/// Trivially destructible on purpose: thread-exit hooks still read it.
-struct PacedFrees {
-    /// Blocks held per thread: 2R = kMaxHPs (orc_domain.hpp asserts it).
-    static constexpr int kCapacity = 64;
-    struct Block {
-        void* mem;
-        std::size_t size;
-        std::size_t align;  // 0: allocated without an alignment argument
-    };
-    Block blocks[kCapacity];
-    int count;
-    bool active;
-
-    bool keep(void* mem, std::size_t size, std::size_t align) noexcept {
-        if (!active || count == kCapacity) return false;
-        blocks[count++] = Block{mem, size, align};
-        return true;
-    }
-    static void release(const Block& b) noexcept {
-        if (b.align != 0) {
-            ::operator delete(b.mem, b.size, std::align_val_t(b.align));
-        } else {
-            ::operator delete(b.mem, b.size);
-        }
-    }
-    void release_one() noexcept { release(blocks[--count]); }
-    void release_all() noexcept {
-        while (count > 0) release_one();
-    }
-};
-
-inline thread_local PacedFrees tl_paced_frees{};
-
-}  // namespace detail
-
 namespace orc {
 
 inline constexpr int kSeqShift = 24;                   // first bit of the sequence field
@@ -143,18 +98,13 @@ struct orc_base {
     orc_base& operator=(const orc_base&) = delete;
     virtual ~orc_base() = default;
 
-    /// The deallocation functions of every tracked type (a deleting
+    /// The deallocation functions of every tracked type. A deleting
     /// destructor passes the dynamic type's size, and its alignment when
-    /// over-aligned): release at once, or hold the block for pacing while a
-    /// buffer walk runs on this thread (detail::PacedFrees).
-    static void operator delete(void* mem, std::size_t size) noexcept {
-        if (!detail::tl_paced_frees.keep(mem, size, 0)) ::operator delete(mem, size);
-    }
-    static void operator delete(void* mem, std::size_t size, std::align_val_t align) noexcept {
-        if (!detail::tl_paced_frees.keep(mem, size, static_cast<std::size_t>(align))) {
-            ::operator delete(mem, size, align);
-        }
-    }
+    /// over-aligned, so the block can be released later; the engine's free
+    /// pacing decides when (detail::PacedFrees, defined with these in
+    /// orc_domain.hpp).
+    static void operator delete(void* mem, std::size_t size) noexcept;
+    static void operator delete(void* mem, std::size_t size, std::align_val_t align) noexcept;
 };
 
 // Header budget. Table 1 charges OrcGC one extra word per object (_orc); on

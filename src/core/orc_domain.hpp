@@ -46,11 +46,11 @@
 // one cascade — one heavy fence and one walk per kRetireBuffer retires
 // instead of one per retire. A walk also adopts the buffers of threads that
 // stopped retiring, so a descheduled thread's buffer cannot keep its objects
-// (and what they still link to) alive. The blocks a buffer walk frees are
-// released one per make_orc_in (pace_free), so each allocation reuses the
-// block just freed. Thread exit, domain destruction, a root link dropped
-// outside a cascade (~orc_atomic) and flush() walk eagerly, adopting every
-// buffer.
+// (and what they still link to) alive while it is off. The blocks a buffer
+// walk frees are released one per make_orc_in (pace_free), so each
+// allocation reuses the block just freed. Thread exit, domain destruction,
+// a root link dropped outside a cascade (~orc_atomic) and flush() walk
+// eagerly, adopting every buffer.
 //
 // Destruction protocol (non-global domains; DESIGN.md "Layering and
 // domains"): the destructor unpublishes every hp slot, drains every
@@ -64,9 +64,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "common/asym_fence.hpp"
@@ -85,6 +87,49 @@ namespace orcgc {
 class OrcDomain;
 
 namespace detail {
+
+/// Free pacing (DESIGN.md §1.3f). A buffer walk frees dozens of objects at
+/// once; released in one burst, they overflow the allocator's small
+/// per-thread cache, and the overflow goes back to the arena that first
+/// allocated each block — for a structure built by another thread, an
+/// arena this thread never allocates from. So while a buffer walk runs
+/// (`active`), orc_base's deallocation functions keep the blocks here, and
+/// make_orc_in releases one right before each allocation, which then
+/// reuses it (OrcDomain::pace_free). Only raw memory waits: every
+/// destructor has already run. Per thread, not per domain, because a block
+/// outlives its object. Trivially destructible on purpose: the thread-exit
+/// hook still reads it.
+struct PacedFrees {
+    /// Blocks held per thread: 2R = kMaxHPs (OrcDomain asserts it).
+    static constexpr int kCapacity = 64;
+    struct Block {
+        void* mem;
+        std::size_t size;
+        std::size_t align;  // 0: allocated without an alignment argument
+    };
+    Block blocks[kCapacity];
+    int count;
+    bool active;
+
+    bool keep(void* mem, std::size_t size, std::size_t align) noexcept {
+        if (!active || count == kCapacity) return false;
+        blocks[count++] = Block{mem, size, align};
+        return true;
+    }
+    static void release(const Block& b) noexcept {
+        if (b.align != 0) {
+            ::operator delete(b.mem, b.size, std::align_val_t(b.align));
+        } else {
+            ::operator delete(b.mem, b.size);
+        }
+    }
+    void release_one() noexcept { release(blocks[--count]); }
+    void release_all() noexcept {
+        while (count > 0) release_one();
+    }
+};
+
+inline thread_local PacedFrees tl_paced_frees{};
 
 /// Tracks every live OrcDomain so that ONE registry-level thread-exit hook
 /// can drain the departing thread's slots in all of them (hooks are
@@ -135,9 +180,10 @@ class OrcDomain {
 
     /// R, the deferral-buffer capacity: retire() outside a cascade buffers
     /// up to R token-holding objects per thread and walks them as one
-    /// generation. Derived, not tuned: with R <= H the buffered garbage stays
-    /// O(H·t) (paper Table 1), and the freed blocks awaiting release stay
-    /// within 2R = kMaxHPs per thread.
+    /// generation. Derived, not tuned: R <= H keeps the buffered objects
+    /// within H per thread, and the freed blocks awaiting release within
+    /// 2R = kMaxHPs per thread. What buffered objects still link to is not
+    /// bounded by R (DESIGN.md §1.3f, "Bounds").
     static constexpr int kRetireBuffer = kMaxHPs / 2;
     static_assert(detail::PacedFrees::kCapacity == 2 * kRetireBuffer);
 
@@ -404,15 +450,15 @@ class OrcDomain {
     }
 
     /// Walks every thread's deferral buffer in this domain now, as one
-    /// cascade run by the calling thread, and releases the calling thread's
-    /// paced blocks. A no-op inside a cascade — that cascade's own run
-    /// settles whatever the caller unlinked — and when nothing is buffered.
-    /// ~orc_atomic calls it for every link it drops, which is how a
-    /// structure's destructor reclaims everything before it returns.
+    /// cascade run by the calling thread. A no-op inside a cascade — that
+    /// cascade's own run settles whatever the caller unlinked — and when
+    /// nothing is buffered. ~orc_atomic calls it for every link it drops,
+    /// which is how a structure's destructor reclaims everything before it
+    /// returns; structure operations never drop a link outside a cascade
+    /// while anything is buffered (DeferralBuffer.StructureOperationsNeverFlush).
     void flush() {
         auto& t = tl_[thread_id()];
         if (t.retire_started) return;
-        detail::tl_paced_frees.release_all();
         const int nthreads = thread_id_watermark();
         for (int it = 0; it < nthreads; ++it) {
             if (tl_[it].n_deferred.load(std::memory_order_relaxed) != 0) {
@@ -1003,11 +1049,12 @@ class OrcDomain {
     /// only those whose owner stopped retiring (`fresh` found clear): a
     /// descheduled or idle thread would otherwise hold up to R-1 objects,
     /// and every removed node they still link to, for as long as it stays
-    /// off; a running thread keeps its own, so each thread's frees keep
-    /// pace with its own allocations. Adoption is sound for the same
-    /// reason the owner's walk is: each adopted token was taken before the
-    /// owner's unlock, which happens-before our lock and so precedes our
-    /// fence.
+    /// off (a thread that keeps retiring, however slowly, is not covered);
+    /// a running thread keeps its own, so each thread's frees keep pace
+    /// with its own allocations (DESIGN.md §1.3f measures both ways).
+    /// Adoption is sound for the same reason the owner's walk is: each
+    /// adopted token was taken before the owner's unlock, which
+    /// happens-before our lock and so precedes our fence.
     ///
     /// A buffer-full walk (`eager` false) first releases the blocks the
     /// previous walk left, then holds the blocks this one frees for
@@ -1338,5 +1385,17 @@ inline void DomainRegistry::thread_exit_hook(int tid) {
 }
 
 }  // namespace detail
+
+// orc_base's deallocation functions (declared in orc_base.hpp): hold the
+// block while a buffer walk runs on this thread, else release it at once.
+inline void orc_base::operator delete(void* mem, std::size_t size) noexcept {
+    if (!detail::tl_paced_frees.keep(mem, size, 0)) ::operator delete(mem, size);
+}
+inline void orc_base::operator delete(void* mem, std::size_t size,
+                                      std::align_val_t align) noexcept {
+    if (!detail::tl_paced_frees.keep(mem, size, static_cast<std::size_t>(align))) {
+        ::operator delete(mem, size, align);
+    }
+}
 
 }  // namespace orcgc

@@ -19,6 +19,7 @@
 #include "core/orc.hpp"
 #include "deferred_retire.hpp"
 #include "ds/orc/michael_list_orc.hpp"
+#include "ds/orc/nm_tree_orc.hpp"
 
 namespace orcgc {
 namespace {
@@ -356,6 +357,43 @@ TEST(DeferralBuffer, StructureDestructorFlushesTheBuffer) {
         EXPECT_GT(dom.object_count(), baseline + 56);
     }
     EXPECT_EQ(dom.object_count(), baseline);
+}
+
+// Structure operations never drop a link outside a cascade, so they never
+// flush: on one thread every cascade is a buffer-full walk, at most one per
+// R retires (a flush per operation would cost a cascade per remove). Only
+// the structure's destructor flushes, and it leaves the domain empty. Both
+// structures perfbench drives: the Michael list and the NM tree.
+template <typename Set>
+void expect_operations_never_flush() {
+    if (!telemetry::kTelemetryEnabled) {
+        GTEST_SKIP() << "cascade counters compiled out (-DORCGC_TELEMETRY=OFF)";
+    }
+    OrcDomain dom;
+    {
+        Set set(&dom);
+        Xoshiro256 rng(5);
+        const OrcMetrics::Snapshot before = dom.metrics().snapshot();
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t key = rng.next_bounded(256);
+            switch (rng.next_bounded(3)) {
+                case 0: set.insert(key); break;
+                case 1: set.remove(key); break;
+                default: set.contains(key); break;
+            }
+        }
+        const OrcMetrics::Snapshot after = dom.metrics().snapshot();
+        const std::uint64_t retired = after.retired - before.retired;
+        const std::uint64_t cascades = after.cascades - before.cascades;
+        EXPECT_GT(cascades, 0u);
+        EXPECT_LE(cascades, retired / OrcDomain::kRetireBuffer);
+    }
+    EXPECT_EQ(dom.object_count(), 0);
+}
+
+TEST(DeferralBuffer, StructureOperationsNeverFlush) {
+    expect_operations_never_flush<MichaelListOrc<std::uint64_t>>();
+    expect_operations_never_flush<NMTreeOrc<std::uint64_t>>();
 }
 
 // A thread that stops retiring with a partly filled buffer does not keep it
